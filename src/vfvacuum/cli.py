@@ -125,6 +125,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.trials < 1:
             print("error: --trials must be at least 1", file=sys.stderr)
             return 2
+        if args.seed < 0:
+            print("error: --seed must be non-negative", file=sys.stderr)
+            return 2
         rows = dirac.verification_suite(trials=args.trials, seed=args.seed)
         document = {
             "constants_digest": constants_digest(),

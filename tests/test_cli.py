@@ -88,6 +88,14 @@ def test_trace_check_bad_trials():
     assert "trials" in err
 
 
+def test_trace_check_negative_seed():
+    code, out, err = invoke(["trace-check", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_laser_subcommand():
     code, out, _ = invoke(
         ["laser", "--power", "6000", "--wavelength", "10e-6", "--radius", "0.16e-3",

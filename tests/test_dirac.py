@@ -6,11 +6,12 @@ import pytest
 from vfvacuum import dirac
 from vfvacuum.checks import all_pass
 from vfvacuum.dirac import (
+    GAMMA,
+    IDENTITY,
     FourVector,
     closed_form_matrix_element,
     cross_section_coefficient,
     decay_rate,
-    gamma_matrices,
     kinematic_check,
     phase_space_integral,
     phase_space_width_study,
@@ -76,42 +77,49 @@ def test_kinematic_check_rejects_negative():
 
 
 def test_clifford_anticommutators():
-    g = gamma_matrices()
-    gammas, identity = g[:4], g[4]
     metric = (1.0, -1.0, -1.0, -1.0)
     for mu in range(4):
         for nu in range(4):
-            anti = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
-            target = 2.0 * (metric[mu] if mu == nu else 0.0) * identity
+            anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+            target = 2.0 * (metric[mu] if mu == nu else 0.0) * IDENTITY
             assert np.max(np.abs(anti - target)) < 1e-14
 
 
 def test_gamma_hermiticity_and_traces():
-    g = gamma_matrices()
-    assert np.max(np.abs(g[0] - g[0].conj().T)) < 1e-14
-    for gamma in g[1:4]:
+    assert np.max(np.abs(GAMMA[0] - GAMMA[0].conj().T)) < 1e-14
+    for gamma in GAMMA[1:]:
         assert np.max(np.abs(gamma + gamma.conj().T)) < 1e-14
-    for gamma in g[:4]:
+    for gamma in GAMMA:
         assert abs(np.trace(gamma)) < 1e-14
 
 
 def test_slash_clifford_square():
     rng = np.random.default_rng(5)
-    identity = gamma_matrices()[4]
     for _ in range(50):
         a = random_four_vector(rng)
-        assert np.max(np.abs(slash(a) @ slash(a) - a.dot(a) * identity)) < 1e-13 * max(
+        assert np.max(np.abs(slash(a) @ slash(a) - a.dot(a) * IDENTITY)) < 1e-13 * max(
             1.0, abs(a.dot(a))
         )
 
 
 def test_slash_pair_anticommutator():
     rng = np.random.default_rng(6)
-    identity = gamma_matrices()[4]
     for _ in range(50):
         a, b = random_four_vector(rng), random_four_vector(rng)
         lhs = slash(a) @ slash(b) + slash(b) @ slash(a)
-        assert np.max(np.abs(lhs - 2.0 * a.dot(b) * identity)) < 1e-12
+        assert np.max(np.abs(lhs - 2.0 * a.dot(b) * IDENTITY)) < 1e-12
+
+
+def test_batched_slash_equals_stacked_rows():
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(64, 4))
+    stacked = np.array(
+        [v.t * GAMMA[0] - v.x * GAMMA[1] - v.y * GAMMA[2] - v.z * GAMMA[3]
+         for v in (FourVector(*row) for row in rows)]
+    )
+    assert np.array_equal(slash(rows), stacked)
+    assert np.array_equal(slash(rows), np.array([slash(FourVector(*row)) for row in rows]))
+    assert slash(rows.reshape(8, 8, 4)).shape == (8, 8, 4, 4)
 
 
 def test_lightlike_slash_squares_to_zero():
@@ -129,23 +137,38 @@ def test_trace_identities_report():
     assert all_pass(rows)
 
 
+def test_trace_identities_match_per_trial_loop():
+    """Reference: the per-trial loop over scalar slash calls, drawing each
+    trial's four vectors in turn; the batched check must draw the same numbers
+    in the same order and give the same residuals."""
+    rng = np.random.default_rng(21)
+    worst = [0.0, 0.0, 0.0]
+    for _ in range(300):
+        a, b, c, d = (random_four_vector(rng) for _ in range(4))
+        scale = max(1.0, *(abs(v.dot(v)) for v in (a, b, c, d)))
+        pair = np.trace(slash(a) @ slash(b))
+        quartet = np.trace(slash(a) @ slash(b) @ slash(c) @ slash(d))
+        expected = 4.0 * (a.dot(b) * c.dot(d) - a.dot(c) * b.dot(d) + a.dot(d) * b.dot(c))
+        odd = max(abs(np.trace(slash(a))) / scale, abs(np.trace(slash(a) @ slash(b) @ slash(c))) / scale**1.5)
+        worst = [max(worst[0], abs(pair - 4.0 * a.dot(b)) / scale),
+                 max(worst[1], abs(quartet - expected) / scale**2), max(worst[2], odd)]
+    assert [row.measured for row in trace_identities_check(trials=300, seed=21)] == worst
+
+
 # ------------------------------------------------------------------ spinors
 
 
 def test_rest_frame_u_satisfies_dirac_equation():
     m = 1.3
     rest = FourVector(m, 0.0, 0.0, 0.0)
-    identity = gamma_matrices()[4]
     psi = spinor("u", rest, "+", m)
-    assert np.max(np.abs((slash(rest) - m * identity) @ psi.components)) < 1e-12
+    assert np.max(np.abs((slash(rest) - m * IDENTITY) @ psi.components)) < 1e-12
 
 
 def test_rest_frame_spin_sum_projector():
     m = 0.7
     rest = FourVector(m, 0.0, 0.0, 0.0)
-    g0 = gamma_matrices()[0]
-    identity = gamma_matrices()[4]
-    assert np.max(np.abs(spin_sum("u", rest, m) - (g0 + identity) / 2.0)) < 1e-14
+    assert np.max(np.abs(spin_sum("u", rest, m) - (GAMMA[0] + IDENTITY) / 2.0)) < 1e-14
 
 
 def test_boosted_spinor_invariants():
@@ -153,14 +176,13 @@ def test_boosted_spinor_invariants():
     beta = 0.1
     pz = m * beta / math.sqrt(1.0 - beta**2)
     momentum = FourVector(math.sqrt(m**2 + pz**2), 0.0, 0.0, pz)
-    identity = gamma_matrices()[4]
     for kind, sign in (("u", 1.0), ("v", -1.0)):
         for spin_label in ("+", "-"):
             psi = spinor(kind, momentum, spin_label, m)
-            residual = (slash(momentum) - sign * m * identity) @ psi.components
+            residual = (slash(momentum) - sign * m * IDENTITY) @ psi.components
             assert np.max(np.abs(residual)) < 1e-12
             assert psi.bar() @ psi.components == pytest.approx(sign, abs=1e-12)
-        projector = (slash(momentum) + sign * m * identity) / (2.0 * m)
+        projector = (slash(momentum) + sign * m * IDENTITY) / (2.0 * m)
         assert np.max(np.abs(spin_sum(kind, momentum, m) - projector)) < 1e-12
 
 
@@ -225,6 +247,18 @@ def test_matrix_element_rotation_invariance():
         assert abs(value - reference) < 1e-10 * reference
 
 
+def test_batched_matrix_element_equals_per_row_calls():
+    rng = np.random.default_rng(12)
+    m = 0.5109989499961642
+    k = FourVector(m, 0.0, 0.0, m)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=33)
+    finals = [FourVector(0.0, math.cos(t), math.sin(t), 0.0) for t in theta]
+    e1 = FourVector(0.0, 1.0, 0.0, 0.0)
+    batched = squared_matrix_element(e1, np.array([f.as_array() for f in finals]), k, m)
+    assert batched.shape == (33,)
+    assert np.array_equal(batched, [squared_matrix_element(e1, f, k, m) for f in finals])
+
+
 def test_matrix_element_preconditions():
     m = 1.0
     k = FourVector(m, 0.0, 0.0, m)
@@ -235,6 +269,11 @@ def test_matrix_element_preconditions():
         squared_matrix_element(FourVector(0.0, 2.0, 0.0, 0.0), e1, k, m)
     with pytest.raises(ValueError, match="transverse"):
         squared_matrix_element(FourVector(0.0, 0.0, 0.0, 1.0), e1, k, m)
+    good = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="unit"):
+        squared_matrix_element(good * [[1.0], [2.0]], e1, k, m)
+    with pytest.raises(ValueError, match="lightlike"):
+        squared_matrix_element(e1, good, np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.5]]), m)
 
 
 # ---------------------------------------------------------- polarization sums
@@ -278,6 +317,19 @@ def test_polarization_sums_basis_independent():
         assert abs(sum_dot - 2.0) < 1e-12
 
 
+def test_batched_basis_and_sums_equal_per_row_calls():
+    rng = np.random.default_rng(13)
+    direction = rng.normal(size=(20, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    momenta = np.concatenate([np.ones((20, 1)), direction], axis=1)
+    bases = transverse_polarization_basis(momenta)
+    sum_one, sum_dot = polarization_sums(momenta)
+    for row, basis, dot in zip(momenta, bases, sum_dot):
+        e1, e2 = transverse_polarization_basis(FourVector(*row))
+        assert np.array_equal(basis, [e1.as_array(), e2.as_array()])
+        assert polarization_sums(FourVector(*row)) == (sum_one, dot)
+
+
 def test_polarization_sums_reject_zero_momentum():
     with pytest.raises(ValueError):
         polarization_sums(FourVector(0.0, 0.0, 0.0, 0.0))
@@ -298,6 +350,33 @@ def test_phase_space_width_halving_monotone():
     widths = [1e-2 / 2**i for i in range(6)]
     errors = [abs(v - math.pi) for _, v in phase_space_width_study(widths)]
     assert all(late < early for early, late in zip(errors, errors[1:]))
+
+
+def test_phase_space_rule_matches_adaptive_quadrature():
+    """The fixed Gauss-Legendre rule against scipy's adaptive quad on the same
+    +-10 width interval."""
+    from scipy.integrate import quad
+
+    widths = (1e-1, 3e-2, 1e-2, 1e-3, 1e-4)
+    for relative_width, value in phase_space_width_study(widths):
+        norm = 1.0 / (relative_width * math.sqrt(2.0 * math.pi))
+        reference, _ = quad(
+            lambda kk: math.pi * kk**2 * norm * math.exp(-0.5 * ((kk - 1.0) / relative_width) ** 2),
+            max(0.0, 1.0 - 10.0 * relative_width),
+            1.0 + 10.0 * relative_width,
+            epsabs=1e-13,
+            epsrel=1e-12,
+        )
+        assert abs(value - reference) < 1e-12
+
+
+@pytest.mark.parametrize("photon_energy", [0.01, 0.3, 7.0, 100.0])
+def test_phase_space_rule_matches_gaussian_moment(photon_energy):
+    """Against a Gaussian of width s about w, k^2 integrates to w^2 + s^2, so
+    the regularized value is pi (1 + (s/w)^2) up to tails beyond 10 widths."""
+    widths = (1e-1, 3e-2, 1e-2, 1e-3, 1e-4)
+    for relative_width, value in phase_space_width_study(widths, photon_energy):
+        assert abs(value - math.pi * (1.0 + relative_width**2)) < 1e-12
 
 
 def test_phase_space_bad_method_rejected():
@@ -387,6 +466,43 @@ def test_verification_suite_passes_and_is_deterministic():
     assert all_pass(rows)
     assert rows == verification_suite(trials=100, seed=7)
     assert len(rows) >= 18
+
+
+SUITE_ROWS = [
+    "clifford-anticommutator",
+    "gamma-hermiticity",
+    "trace-pair-identity",
+    "trace-quartet-identity",
+    "trace-odd-vanishes",
+    "slash-clifford-square",
+    "spinor-dirac-equation",
+    "spinor-normalization",
+    "spin-sum-projectors",
+    "matrix-element-angular-law",
+    "matrix-element-rotation-invariance",
+    "polarization-sum-count",
+    "polarization-sum-dot-squared",
+    "polarization-basis-independence",
+    "phase-space-analytic",
+    "phase-space-regularized",
+    "cross-section-all-four",
+    "cross-section-singlet",
+]
+
+
+@pytest.mark.parametrize("trials", [1, 9, dirac._BLOCK, dirac._BLOCK + 1])
+def test_verification_suite_rows_at_block_edges(trials):
+    """Covers a block boundary and the trials // 10 and trials // 5 sections
+    at their minimum of one trial."""
+    rows = verification_suite(trials=trials, seed=3)
+    assert [row.name for row in rows] == SUITE_ROWS
+    assert all_pass(rows)
+
+
+def test_verification_suite_independent_of_block_size(monkeypatch):
+    reference = verification_suite(trials=60, seed=4)
+    monkeypatch.setattr(dirac, "_BLOCK", 7)
+    assert verification_suite(trials=60, seed=4) == reference
 
 
 def test_verification_suite_seed_changes_draws():
