@@ -5,6 +5,7 @@ failed, 2 usage or input error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import dirac, permittivity, report, vfmodel
@@ -24,7 +25,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constants", metavar="FILE", help="constants override file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vfvacuum",
         description=(

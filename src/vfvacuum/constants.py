@@ -8,6 +8,7 @@ inconsistent constant set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -119,17 +120,20 @@ def pinned_constants_text() -> str:
     return resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text(encoding="utf-8")
 
 
+@functools.cache
 def constants_digest() -> str:
-    """SHA-256 hex digest of the pinned constants file."""
+    """SHA-256 hex digest of the pinned constants file, hashed once per process."""
     return hashlib.sha256(pinned_constants_text().encode("utf-8")).hexdigest()
 
 
 def parse_constants_text(text: str) -> dict[str, float]:
     """Parse line-oriented ``name = value`` text with ``#`` comments.
 
-    Names are case-sensitive; values may be decimal or scientific notation.
+    Names are case-sensitive; values may be decimal or scientific notation. A
+    name given twice is an error naming both lines.
     """
     table: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +142,9 @@ def parse_constants_text(text: str) -> dict[str, float]:
             raise ValueError(f"line {lineno}: expected 'name = value', got {raw!r}")
         name, _, value = line.partition("=")
         name = name.strip()
+        if name in first_line:
+            raise ValueError(f"line {lineno}: {name!r} already set on line {first_line[name]}")
+        first_line[name] = lineno
         try:
             table[name] = float(value.strip())
         except ValueError as exc:

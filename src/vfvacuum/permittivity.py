@@ -28,6 +28,7 @@ class SpeciesContribution:
     n_vf: float  # effective interacting density, 1/m^3
     dipole_per_field: float  # C*m^2/V
     contribution: float  # C/(V*m)
+    decay: dirac.AnnihilationResult  # the pipeline decay that sets n_vf
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class LaserSpec:
     beam_radius: float  # m
 
     def __post_init__(self):
-        if not (self.power > 0.0 and self.wavelength > 0.0 and self.beam_radius > 0.0):
-            raise ValueError("laser power, wavelength, and beam radius must all be positive")
+        if not all(0.0 < value < math.inf for value in (self.power, self.wavelength, self.beam_radius)):
+            raise ValueError("laser power, wavelength, and beam radius must all be finite and positive")
 
 
 def annihilation_rate_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -59,14 +60,22 @@ def annihilation_rate_closed_form(species: LeptonSpecies, constants: ConstantsSe
     return constants.alpha**5 * species.mass_energy / constants.hbar
 
 
-def _pipeline_rate(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    return constants.from_natural(dirac.decay_rate(species, constants).gamma, "rate")
+def _linearized_probability(
+    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+) -> float:
+    return constants.from_natural(decay.gamma, "rate") * vfmodel.vf_lifetime(species, constants)
+
+
+def _effective_density(
+    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+) -> float:
+    return vfmodel.number_density(species, constants) * _linearized_probability(species, constants, decay)
 
 
 def interaction_probability_linearized(species: LeptonSpecies, constants: ConstantsSet) -> float:
     """Rate-lifetime product Gamma * dt, the small exponent of the interaction
     probability; algebraically alpha^5/4."""
-    return _pipeline_rate(species, constants) * vfmodel.vf_lifetime(species, constants)
+    return _linearized_probability(species, constants, dirac.decay_rate(species, constants))
 
 
 def interaction_probability(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -79,9 +88,7 @@ def interaction_probability(species: LeptonSpecies, constants: ConstantsSet) -> 
 def effective_density(species: LeptonSpecies, constants: ConstantsSet) -> float:
     """Density of pairs that actually interact: number density times the
     linearized interaction probability."""
-    return vfmodel.number_density(species, constants) * interaction_probability_linearized(
-        species, constants
-    )
+    return _effective_density(species, constants, dirac.decay_rate(species, constants))
 
 
 def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -91,13 +98,20 @@ def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSe
     ) ** 3
 
 
-def eps0_contribution(species: LeptonSpecies, constants: ConstantsSet) -> float:
+def _species_contribution(species: LeptonSpecies, constants: ConstantsSet) -> SpeciesContribution:
     """One species' permittivity contribution: effective density times the
-    dipole response per unit field. The species mass cancels."""
+    dipole response per unit field, from one decay-rate evaluation."""
     dipole_per_field = oscillator.species_dipole(
         species, constants, oscillator.PhotonField(1.0, species.charge_magnitude)
     )
-    return effective_density(species, constants) * dipole_per_field
+    decay = dirac.decay_rate(species, constants)
+    n_vf = _effective_density(species, constants, decay)
+    return SpeciesContribution(species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay)
+
+
+def eps0_contribution(species: LeptonSpecies, constants: ConstantsSet) -> float:
+    """One species' permittivity contribution. The species mass cancels."""
+    return _species_contribution(species, constants).contribution
 
 
 def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
@@ -108,21 +122,7 @@ def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
 def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     """Assemble the permittivity report: per-species pipeline contributions,
     totals, closed forms, and deviations from the accepted values."""
-    per_species = []
-    for species in constants.leptons():
-        dipole_per_field = oscillator.species_dipole(
-            species, constants, oscillator.PhotonField(1.0, species.charge_magnitude)
-        )
-        n_vf = effective_density(species, constants)
-        per_species.append(
-            SpeciesContribution(
-                species=species.name,
-                n_vf=n_vf,
-                dipole_per_field=dipole_per_field,
-                contribution=n_vf * dipole_per_field,
-            )
-        )
-
+    per_species = [_species_contribution(species, constants) for species in constants.leptons()]
     contributions = [entry.contribution for entry in per_species]
     if any(value <= 0.0 for value in contributions):
         raise ConsistencyError("every species contribution must be positive")

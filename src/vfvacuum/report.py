@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import dirac, permittivity, vfmodel
 from .checks import CheckRow, check_row
@@ -30,17 +30,18 @@ def _relative_to(value: float, target: float) -> float:
     return abs(value / target - 1.0)
 
 
-def report_checks(constants: ConstantsSet) -> list[CheckRow]:
-    """Deterministic (no-RNG) self-checks backing the report's exit code."""
-    report = permittivity.eps0_total(constants)
-    electron = constants.lepton("electron")
-    tau = constants.lepton("tau")
-    electron_vf = vfmodel.characterize(electron, constants)
-    tau_vf = vfmodel.characterize(tau, constants)
-    decay = dirac.decay_rate(electron, constants)
+def report_checks(
+    constants: ConstantsSet,
+    report: permittivity.PermittivityReport,
+    vf_records: Sequence[vfmodel.VfCharacterization],
+) -> list[CheckRow]:
+    """Deterministic (no-RNG) self-checks backing the report's exit code, read
+    from the one evaluation of ``build_report``: no pipeline quantity is recomputed."""
+    electron_vf, _, tau_vf = vf_records  # both in constants.leptons() order
+    electron, decay = electron_vf.species, report.per_species[0].decay
     closed_rate = permittivity.annihilation_rate_closed_form(electron, constants)
     pipeline_rate = constants.from_natural(decay.gamma, "rate")
-    two_photon = dirac.two_photon_rate_natural(electron, constants)
+    two_photon = dirac.two_photon_rate_natural(electron, constants, decay)
     laser_density = permittivity.photon_number_density(_LASER_REFERENCE, constants)
 
     contributions = [entry.contribution for entry in report.per_species]
@@ -156,16 +157,17 @@ def checks_to_dicts(rows: list[CheckRow]) -> list[dict]:
 def build_report(
     constants: ConstantsSet, overrides: Mapping[str, float] | None = None
 ) -> dict:
-    """Full report document with stable field order."""
-    species_records = [vfmodel.characterize(s, constants) for s in constants.leptons()]
-    decay_records = [dirac.decay_rate(s, constants) for s in constants.leptons()]
+    """Full report document with stable field order. Every pipeline quantity
+    is evaluated once and read by the tables and the checks alike."""
+    vf_records = [vfmodel.characterize(s, constants) for s in constants.leptons()]
+    perm = permittivity.eps0_total(constants)
     return {
         "constants_digest": constants_digest(),
         "overrides": {name: overrides[name] for name in sorted(overrides)} if overrides else {},
-        "permittivity": permittivity_to_dict(permittivity.eps0_total(constants)),
-        "vf_table": [vf_to_dict(record) for record in species_records],
-        "decay_table": [decay_to_dict(record) for record in decay_records],
-        "checks": checks_to_dicts(report_checks(constants)),
+        "permittivity": permittivity_to_dict(perm),
+        "vf_table": [vf_to_dict(record) for record in vf_records],
+        "decay_table": [decay_to_dict(entry.decay) for entry in perm.per_species],
+        "checks": checks_to_dicts(report_checks(constants, perm, vf_records)),
     }
 
 

@@ -113,6 +113,35 @@ def test_laser_rejects_nonpositive():
     assert "positive" in err
 
 
+@pytest.mark.parametrize("flag", ["--power", "--wavelength", "--radius"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_laser_rejects_nonfinite(flag, value):
+    values = {"--power": "6000", "--wavelength": "10e-6", "--radius": "1e-4", flag: value}
+    code, out, err = invoke(["laser", *[part for item in values.items() for part in item]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_constants_file_with_repeated_name_is_rejected(tmp_path):
+    override = tmp_path / "constants.txt"
+    override.write_text("m_muon = 3.767063254e-28\n# doubled again\nm_muon = 7.5e-28\n")
+    code, out, err = invoke(["report", "--constants", str(override)])
+    assert code == 2
+    assert out == ""
+    assert "'m_muon'" in err and "line 3" in err and "line 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_reused_parser_keeps_defaults():
+    _, first, _ = invoke(["trace-check", "--format", "json", "--trials", "1", "--seed", "5"])
+    _, second, _ = invoke(["trace-check", "--format", "json", "--trials", "1"])
+    assert json.loads(first)["seed"] == 5
+    assert json.loads(second)["seed"] == 0
+    assert json.loads(second)["trials"] == 1
+
+
 def test_constants_subcommand():
     code, out, _ = invoke(["constants", "--format", "json"])
     assert code == 0

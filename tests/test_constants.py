@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from vfvacuum import constants as constants_module
 from vfvacuum.constants import (
     CONSTANT_NAMES,
     NATURAL_DIMENSIONS,
@@ -10,6 +12,7 @@ from vfvacuum.constants import (
     constants_digest,
     load_constants,
     parse_constants_text,
+    pinned_constants_text,
     read_override_table,
 )
 
@@ -125,6 +128,28 @@ def test_parse_rejects_garbage():
         parse_constants_text("this is not a key value pair")
     with pytest.raises(ValueError, match="bad numeric value"):
         parse_constants_text("alpha = zero point five")
+
+
+def test_parse_rejects_repeated_name():
+    with pytest.raises(ValueError, match=r"line 4: 'alpha' already set on line 2"):
+        parse_constants_text("# pinned\nalpha = 7.2973525693e-3\nh = 6.62607015e-34\nalpha = 7.3e-3\n")
+
+
+def test_digest_is_hashed_once_and_every_load_reads_the_table(monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return pinned_constants_text()
+
+    monkeypatch.setattr(constants_module, "pinned_constants_text", counted)
+    constants_digest.cache_clear()
+    assert constants_digest() == hashlib.sha256(pinned_constants_text().encode("utf-8")).hexdigest()
+    assert constants_digest() == constants_digest()
+    assert len(reads) == 1
+    load_constants()
+    load_constants({"m_muon": 1e-28})
+    assert len(reads) == 3
 
 
 def test_names_case_sensitive():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -461,6 +462,12 @@ def test_two_photon_rate_is_half(constants, electron):
     assert two_photon_rate_natural(electron, constants) == single / 2.0
 
 
+def test_two_photon_rate_reads_a_held_decay(constants, electron, muon, monkeypatch):
+    held = decay_rate(muon, constants)
+    monkeypatch.setattr(dirac, "decay_rate", None)  # a held result needs no new evaluation
+    assert two_photon_rate_natural(muon, constants, held) == held.gamma / 2.0
+
+
 def test_verification_suite_passes_and_is_deterministic():
     rows = verification_suite(trials=100, seed=7)
     assert all_pass(rows)
@@ -509,3 +516,30 @@ def test_verification_suite_seed_changes_draws():
     a = dirac.verification_suite(trials=50, seed=1)
     b = dirac.verification_suite(trials=50, seed=2)
     assert [row.name for row in a] == [row.name for row in b]
+
+
+def test_suite_sections_draw_apart_from_trace_identities(monkeypatch):
+    """The randomized sections of the suite take a stream of their own: the
+    first four-vectors of slash-clifford-square are not the trace-identity ones."""
+    first_draws = {}
+
+    def recording(name):
+        residuals = getattr(dirac, name)
+
+        def wrapped(rng, count):
+            first_draws.setdefault(name, copy.deepcopy(rng).normal(size=8))
+            return residuals(rng, count)
+
+        monkeypatch.setattr(dirac, name, wrapped)
+
+    recording("_trace_identity_residuals")
+    recording("_slash_square_residuals")
+    verification_suite(trials=4, seed=5)
+    assert not np.any(first_draws["_trace_identity_residuals"] == first_draws["_slash_square_residuals"])
+
+
+def test_verification_suite_passes_over_seeds_at_1000_trials():
+    for seed in range(10):
+        rows = verification_suite(trials=1000, seed=seed)
+        assert [row.name for row in rows] == SUITE_ROWS
+        assert all_pass(rows), (seed, [row for row in rows if row.status != "pass"])

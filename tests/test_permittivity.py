@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vfvacuum import permittivity, vfmodel
+from vfvacuum import dirac, permittivity, vfmodel
 from vfvacuum.constants import load_constants
 from vfvacuum.permittivity import (
     LaserSpec,
@@ -135,6 +135,22 @@ def test_laser_spec_validation():
         LaserSpec(power=1.0, wavelength=0.0, beam_radius=1e-4)
     with pytest.raises(ValueError):
         LaserSpec(power=1.0, wavelength=1e-6, beam_radius=-1e-4)
+
+
+@pytest.mark.parametrize("field", ["power", "wavelength", "beam_radius"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_laser_spec_rejects_nonfinite(field, value):
+    values = {"power": 6000.0, "wavelength": 10e-6, "beam_radius": 0.16e-3, field: value}
+    with pytest.raises(ValueError, match="finite and positive"):
+        LaserSpec(**values)
+
+
+def test_eps0_total_carries_one_decay_per_species(constants):
+    report = eps0_total(constants)
+    for entry, species in zip(report.per_species, constants.leptons()):
+        assert entry.decay == dirac.decay_rate(species, constants)
+        assert entry.n_vf == effective_density(species, constants)
+        assert entry.contribution == eps0_contribution(species, constants)
 
 
 def test_cutting_laser_photon_density(constants):
