@@ -9,11 +9,11 @@ import functools
 import sys
 
 from . import dirac, permittivity, report, vfmodel
-from .checks import all_pass, check_row
+# Unused here: bench/test_bench.py::test_tracer_patches_every_binding_site asserts cli.check_row.
+from .checks import check_row  # noqa: F401
 from .constants import (
     CONSTANT_NAMES,
     LEPTON_NAMES,
-    ConsistencyError,
     constants_digest,
     load_constants,
     read_override_table,
@@ -65,97 +65,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(document: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(report.to_json(document))
-    else:
-        print(report.render_text(document))
-
-
-def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    overrides = None
-    if getattr(args, "constants", None):
-        try:
-            overrides = read_override_table(args.constants)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read constants file: {exc}", file=sys.stderr)
-            return 2
-    try:
-        constants = load_constants(overrides)
-    except (ConsistencyError, ValueError) as exc:
-        print(f"error: bad constants: {exc}", file=sys.stderr)
-        return 2
-
+def _document(args: argparse.Namespace, constants, overrides) -> dict:
+    """The fields the subcommand prints after ``constants_digest``. Raises
+    ValueError for an input the subcommand cannot evaluate."""
     if args.command == "report":
-        document = report.build_report(constants, overrides)
-        _emit(document, args.format)
-        return 0 if all(row["status"] == "pass" for row in document["checks"]) else 1
+        return report.build_report(constants, overrides)
 
     if args.command == "species":
         record = vfmodel.characterize(constants.lepton(args.name), constants)
-        document = {
-            "constants_digest": constants_digest(),
-            "species": report.vf_to_dict(record),
-        }
-        _emit(document, args.format)
-        return 0
+        return {"species": report.vf_to_dict(record)}
 
     if args.command == "decay":
         species = constants.lepton(args.name)
-        result = dirac.decay_rate(species, constants)
+        decay = dirac.decay_rate(species, constants)
         closed = permittivity.annihilation_rate_closed_form(species, constants)
-        pipeline = constants.from_natural(result.gamma, "rate")
-        rows = [
-            check_row("sigma-coefficient-singlet", abs(result.sigma_coefficient - 8.0), 1e-8),
-            check_row("decay-closed-form-agreement", abs(pipeline / closed - 1.0), 1e-9),
-        ]
-        document = {
-            "constants_digest": constants_digest(),
-            "decay": report.decay_to_dict(result),
+        return {
+            "decay": report.decay_to_dict(decay),
             "closed_form_rate_per_s": closed,
-            "checks": report.checks_to_dicts(rows),
+            "checks": report.checks_to_dicts(report.decay_checks(constants, decay, closed)),
         }
-        _emit(document, args.format)
-        return 0 if all_pass(rows) else 1
 
     if args.command == "trace-check":
         if args.trials < 1:
-            print("error: --trials must be at least 1", file=sys.stderr)
-            return 2
+            raise ValueError("--trials must be at least 1")
         if args.seed < 0:
-            print("error: --seed must be non-negative", file=sys.stderr)
-            return 2
+            raise ValueError("--seed must be non-negative")
         rows = dirac.verification_suite(trials=args.trials, seed=args.seed)
-        document = {
-            "constants_digest": constants_digest(),
-            "trials": args.trials,
-            "seed": args.seed,
-            "checks": report.checks_to_dicts(rows),
-        }
-        _emit(document, args.format)
-        return 0 if all_pass(rows) else 1
+        return {"trials": args.trials, "seed": args.seed, "checks": report.checks_to_dicts(rows)}
 
     if args.command == "laser":
-        try:
-            laser = permittivity.LaserSpec(
-                power=args.power, wavelength=args.wavelength, beam_radius=args.radius
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        laser = permittivity.LaserSpec(
+            power=args.power, wavelength=args.wavelength, beam_radius=args.radius
+        )
         density = permittivity.photon_number_density(laser, constants)
         electron_density = vfmodel.number_density(constants.lepton("electron"), constants)
-        rows = [
-            check_row("laser-below-vf-density", density / electron_density, 1.0),
-        ]
-        document = {
-            "constants_digest": constants_digest(),
+        return {
             "laser": {
                 "power_W": laser.power,
                 "wavelength_m": laser.wavelength,
@@ -163,22 +107,44 @@ def run(argv: list[str] | None = None) -> int:
             },
             "photon_density_per_m3": density,
             "electron_vf_density_per_m3": electron_density,
-            "checks": report.checks_to_dicts(rows),
+            "checks": report.checks_to_dicts(report.laser_checks(density, electron_density)),
         }
-        _emit(document, args.format)
-        return 0 if all_pass(rows) else 1
 
-    if args.command == "constants":
-        document = {
-            "constants_digest": constants_digest(),
-            "values": {name: getattr(constants, name) for name in CONSTANT_NAMES},
-            "overrides": {k: overrides[k] for k in sorted(overrides)} if overrides else {},
-        }
-        _emit(document, args.format)
-        return 0
+    return {  # constants
+        "values": {name: getattr(constants, name) for name in CONSTANT_NAMES},
+        "overrides": {k: overrides[k] for k in sorted(overrides)} if overrides else {},
+    }
 
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+
+def run(argv: list[str] | None = None) -> int:
+    """Parse, load the constants, build and print one document. The exit code
+    is 1 when any row of its ``checks`` fails, 2 for a usage or input error."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+
+    overrides = None
+    if args.constants:
+        try:
+            overrides = read_override_table(args.constants)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read constants file: {exc}", file=sys.stderr)
+            return 2
+    try:
+        constants = load_constants(overrides)
+    except ValueError as exc:
+        print(f"error: bad constants: {exc}", file=sys.stderr)
+        return 2
+    try:
+        # A ConsistencyError is a ValueError: an input the evaluation rejects.
+        document = {"constants_digest": constants_digest(), **_document(args, constants, overrides)}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    print(report.to_json(document) if args.format == "json" else report.render_text(document))
+    return 0 if all(row["status"] == "pass" for row in document.get("checks", ())) else 1
 
 
 def main() -> None:

@@ -36,6 +36,11 @@ CONSTANT_NAMES = (
     "m_tau",
 )
 
+# Lepton masses (kg) accepted by load_constants. Every invariant check row of
+# the report passes from 10^-82.4 to 10^21.4 kg for each lepton; outside that
+# the decay pipeline under- or overflows.
+LEPTON_MASS_DOMAIN = (1e-80, 1e20)
+
 # Natural-unit convention: energies and masses in MeV, lengths and times in
 # 1/MeV, rates in MeV.
 NATURAL_DIMENSIONS = ("energy", "mass", "length", "time", "rate")
@@ -187,6 +192,14 @@ def _check_invariants(c: ConstantsSet) -> None:
         value = getattr(c, name)
         if not math.isfinite(value) or value <= 0.0:
             raise ConsistencyError(f"constant {name} must be positive and finite, got {value!r}")
+
+    low, high = LEPTON_MASS_DOMAIN
+    for name in LEPTON_NAMES:
+        mass = getattr(c, f"m_{name}")
+        if not low <= mass <= high:
+            raise ConsistencyError(
+                f"m_{name} = {mass!r} kg is outside the lepton mass domain [{low!r}, {high!r}] kg"
+            )
 
     if _rel_err(c.hbar, c.h / (2.0 * math.pi)) > 1e-15:
         raise ConsistencyError("hbar != h/(2*pi) at machine precision")

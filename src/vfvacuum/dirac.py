@@ -401,15 +401,10 @@ def decay_rate(species: LeptonSpecies, constants: ConstantsSet) -> AnnihilationR
     )
 
 
-def two_photon_rate_natural(
-    species: LeptonSpecies, constants: ConstantsSet, decay: AnnihilationResult | None = None
-) -> float:
+def two_photon_rate_natural(decay: AnnihilationResult) -> float:
     """Two-photon annihilation rate of the ordinary (non-transient) singlet
-    pair: half the single-photon rate of the photon-excited transient pair.
-    A caller that already holds this species' ``decay_rate`` passes it as
-    ``decay`` instead of evaluating the pipeline again."""
-    if decay is None:
-        decay = decay_rate(species, constants)
+    pair: half the single-photon rate ``decay`` of the photon-excited
+    transient pair (a ``decay_rate`` result)."""
     return decay.gamma / 2.0
 
 

@@ -124,10 +124,10 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     totals, closed forms, and deviations from the accepted values."""
     per_species = [_species_contribution(species, constants) for species in constants.leptons()]
     contributions = [entry.contribution for entry in per_species]
-    if any(value <= 0.0 for value in contributions):
+    if not all(value > 0.0 for value in contributions):  # NaN fails too
         raise ConsistencyError("every species contribution must be positive")
     spread = (max(contributions) - min(contributions)) / min(contributions)
-    if spread > 1e-9:
+    if not spread <= 1e-9:
         raise ConsistencyError(f"species contributions differ by {spread:.3e}; mass did not cancel")
 
     eps0_calculated = sum(contributions)
@@ -148,18 +148,6 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
         eps0_mu0_form=mu0_form,
         quark_contributions=QUARK_CONTRIBUTION_NOTE,
     )
-
-
-def permeability(constants: ConstantsSet) -> float:
-    """Vacuum permeability seen by a photon: the transient pairs carry no
-    magnetization, so the bare mu0 is returned unchanged."""
-    return constants.mu0
-
-
-def magnetization(species: LeptonSpecies) -> float:
-    """Magnetic moment density of a singlet pair: identically zero (opposite
-    charges with equal masses, and the combined spin moments cancel)."""
-    return 0.0
 
 
 def photon_number_density(laser: LaserSpec, constants: ConstantsSet) -> float:

@@ -30,6 +30,26 @@ def _relative_to(value: float, target: float) -> float:
     return abs(value / target - 1.0)
 
 
+def decay_checks(
+    constants: ConstantsSet, decay: dirac.AnnihilationResult, closed_rate: float
+) -> list[CheckRow]:
+    """Rows of one lepton's decay pipeline against its closed-form rate
+    ``closed_rate`` (1/s); the ``report`` and ``decay`` commands both emit them."""
+    pipeline_rate = constants.from_natural(decay.gamma, "rate")
+    return [
+        check_row("sigma-coefficient-singlet", abs(decay.sigma_coefficient - 8.0), 1e-8),
+        check_row(
+            "decay-closed-form-agreement", _relative_to(pipeline_rate, closed_rate), 1e-9
+        ),
+    ]
+
+
+def laser_checks(laser_density: float, electron_density: float) -> list[CheckRow]:
+    """Row comparing a beam's photon density with the electron pair density,
+    both per m^3; the ``report`` and ``laser`` commands both emit it."""
+    return [check_row("laser-below-vf-density", laser_density / electron_density, 1.0)]
+
+
 def report_checks(
     constants: ConstantsSet,
     report: permittivity.PermittivityReport,
@@ -40,8 +60,7 @@ def report_checks(
     electron_vf, _, tau_vf = vf_records  # both in constants.leptons() order
     electron, decay = electron_vf.species, report.per_species[0].decay
     closed_rate = permittivity.annihilation_rate_closed_form(electron, constants)
-    pipeline_rate = constants.from_natural(decay.gamma, "rate")
-    two_photon = dirac.two_photon_rate_natural(electron, constants, decay)
+    two_photon = dirac.two_photon_rate_natural(decay)
     laser_density = permittivity.photon_number_density(_LASER_REFERENCE, constants)
 
     contributions = [entry.contribution for entry in report.per_species]
@@ -81,20 +100,15 @@ def report_checks(
             _relative_to(decay.lifetime, _ELECTRON_DECAY_LIFETIME_TARGET),
             0.01,
         ),
-        check_row("sigma-coefficient-singlet", abs(decay.sigma_coefficient - 8.0), 1e-8),
-        check_row(
-            "decay-closed-form-agreement", _relative_to(pipeline_rate, closed_rate), 1e-9
-        ),
+        *decay_checks(constants, decay, closed_rate),
         check_row("two-photon-half-rate", abs(2.0 * two_photon / decay.gamma - 1.0), 1e-12),
         check_row(
             "permeability-identity",
-            abs(permittivity.permeability(constants) * constants.eps0_accepted * constants.c_defined**2 - 1.0),
+            abs(constants.mu0 * constants.eps0_accepted * constants.c_defined**2 - 1.0),
             1e-6,
         ),
         check_row("laser-density-window", abs(math.log10(laser_density) - 22.0), 1.0),
-        check_row(
-            "laser-below-vf-density", laser_density / electron_vf.number_density, 1.0
-        ),
+        *laser_checks(laser_density, electron_vf.number_density),
     ]
 
 

@@ -65,8 +65,9 @@ def test_03_decay_pipeline(constants, electron):
 def test_04_cross_section_coefficients(constants, electron):
     all_four = dirac.cross_section_coefficient("all_four")
     singlet = dirac.cross_section_coefficient("singlet_only")
-    gamma = dirac.decay_rate(electron, constants).gamma
-    two_photon = dirac.two_photon_rate_natural(electron, constants)
+    decay = dirac.decay_rate(electron, constants)
+    gamma = decay.gamma
+    two_photon = dirac.two_photon_rate_natural(decay)
     ok = (
         abs(all_four - 2.0) <= 1e-8
         and abs(singlet - 8.0) <= 1e-8

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from vfvacuum import oscillator
 from vfvacuum.cli import run
 
 
@@ -132,6 +135,57 @@ def test_constants_file_with_repeated_name_is_rejected(tmp_path):
     assert out == ""
     assert "'m_muon'" in err and "line 3" in err and "line 1" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mass", ["1e-83", "1e-120", "1e22"])
+def test_lepton_mass_outside_domain_is_input_error(tmp_path, mass):
+    override = tmp_path / "constants.txt"
+    override.write_text(f"m_electron = {mass}\n")
+    code, out, err = invoke(["report", "--constants", str(override)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "m_electron" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_consistency_error_during_evaluation_is_input_error(monkeypatch):
+    monkeypatch.setattr(oscillator, "species_dipole", lambda *args: math.nan)
+    code, out, err = invoke(["report", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "positive" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# SHA-256 of stdout and the exit code of each subcommand other than `report`
+# (pinned in test_report.py) with the pinned constants.
+SUBCOMMAND_BYTES = [
+    ("species electron", "json", 0, "14eba081c1171c9111cef79052c9abdd902e560215a586e8250433e73b44c14b"),
+    ("species electron", "text", 0, "fb23fbb468b19d0bffe4a60b39cb29216d0ff5c063776e680980086cce788a4d"),
+    ("species tau", "json", 0, "69e01d984a04378bbab1a72092ff0a0f50b26ebc15b8a00e40fe90ddcb89958a"),
+    ("species tau", "text", 0, "012d9ab38544314c12de653ff91e592a14b51e8a20cf5a42756ef4798dd70fa9"),
+    ("decay electron", "json", 0, "d24d151facdd8057f62cd3950eee01c417205d47802531bea7a584dd312fe4b5"),
+    ("decay electron", "text", 0, "c44f5b8437b1b29973be7d721b791f77e1c002aa951a300a726f0781430e2f1d"),
+    ("decay muon", "json", 0, "6ec5dba76ddd86bd8f7117468e1a02ce0de78a3a8345df1f3543c089ee830b32"),
+    ("decay muon", "text", 0, "7527498e2793a7d2531b53245f8c83f256e4e8758cef76ed303b244cbcefa112"),
+    ("laser --power 6000 --wavelength 10e-6 --radius 0.16e-3", "json", 0,
+     "827682ab7df1e2f574afe00e8bbe700c121f0d868c180fcdc23e7dc6f415f1d0"),
+    ("laser --power 6000 --wavelength 10e-6 --radius 0.16e-3", "text", 0,
+     "0736ff5b46f9dec77aaa09737d6d70d2923b15eca9156a85634202a51e88f32c"),
+    ("constants", "json", 0, "505f80eefa2a0341674fa26b6574d1d910a209fe745f592370d38658da16212e"),
+    ("constants", "text", 0, "9790cb198b56a0ccf898bd9aa36bd892429d3f04147201ccf1f098f97298e741"),
+    ("trace-check --trials 50 --seed 3", "json", 0,
+     "31a36c558d9f424cc585b1cbc7543c931f20f115ab7605d1e56db590a771c854"),
+    ("trace-check --trials 50 --seed 3", "text", 0,
+     "43fe709f74ff62c718cc7f8d96701c486e7b12dde309f2dabe0279ff347ca3dd"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, expected_code, expected_sha", SUBCOMMAND_BYTES)
+def test_subcommand_bytes_are_pinned(command, fmt, expected_code, expected_sha):
+    code, out, err = invoke([*command.split(), "--format", fmt])
+    assert (code, err) == (expected_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_sha
 
 
 def test_reused_parser_keeps_defaults():

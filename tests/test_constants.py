@@ -7,6 +7,7 @@ import pytest
 from vfvacuum import constants as constants_module
 from vfvacuum.constants import (
     CONSTANT_NAMES,
+    LEPTON_MASS_DOMAIN,
     NATURAL_DIMENSIONS,
     ConsistencyError,
     constants_digest,
@@ -50,6 +51,16 @@ def test_inconsistent_override_rejected():
 def test_unknown_override_name_rejected():
     with pytest.raises(ValueError, match="not_a_constant"):
         load_constants({"not_a_constant": 1.0})
+
+
+@pytest.mark.parametrize("name", ["m_electron", "m_muon", "m_tau"])
+@pytest.mark.parametrize("mass", [1e-83, 1e-120, 1e22])
+def test_lepton_mass_outside_domain_rejected(name, mass):
+    with pytest.raises(ConsistencyError) as excinfo:
+        load_constants({name: mass})
+    message = str(excinfo.value)
+    assert f"{name} = {mass!r} kg" in message
+    assert all(repr(bound) in message for bound in LEPTON_MASS_DOMAIN)
 
 
 def test_consistent_mass_override_accepted(constants):

@@ -459,13 +459,13 @@ def test_decay_rate_scales_linearly_with_mass(constants, electron, muon):
 
 def test_two_photon_rate_is_half(constants, electron):
     single = decay_rate(electron, constants).gamma
-    assert two_photon_rate_natural(electron, constants) == single / 2.0
+    assert two_photon_rate_natural(decay_rate(electron, constants)) == single / 2.0
 
 
 def test_two_photon_rate_reads_a_held_decay(constants, electron, muon, monkeypatch):
     held = decay_rate(muon, constants)
     monkeypatch.setattr(dirac, "decay_rate", None)  # a held result needs no new evaluation
-    assert two_photon_rate_natural(muon, constants, held) == held.gamma / 2.0
+    assert two_photon_rate_natural(held) == held.gamma / 2.0
 
 
 def test_verification_suite_passes_and_is_deterministic():

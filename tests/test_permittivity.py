@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from vfvacuum import dirac, permittivity, vfmodel
-from vfvacuum.constants import load_constants
+from vfvacuum import dirac, oscillator, permittivity, vfmodel
+from vfvacuum.constants import ConsistencyError, load_constants
 from vfvacuum.permittivity import (
     LaserSpec,
     annihilation_rate_closed_form,
@@ -14,8 +14,6 @@ from vfvacuum.permittivity import (
     eps0_total,
     interaction_probability,
     interaction_probability_linearized,
-    magnetization,
-    permeability,
     photon_number_density,
 )
 
@@ -112,20 +110,18 @@ def test_eps0_independent_of_lepton_masses(constants):
         assert abs(perturbed / baseline - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("dipole", [math.nan, math.inf])
+def test_eps0_total_rejects_nonfinite_contributions(constants, monkeypatch, dipole):
+    # NaN fails the positivity guard; inf passes it but makes the spread NaN.
+    monkeypatch.setattr(oscillator, "species_dipole", lambda *args: dipole)
+    with pytest.raises(ConsistencyError):
+        eps0_total(constants)
+
+
 def test_closed_form_rate_cross_check(constants, electron):
     assert annihilation_rate_closed_form(electron, constants) == pytest.approx(
         constants.alpha**5 * electron.mass_energy / constants.hbar, rel=1e-15
     )
-
-
-def test_permeability_is_bare_mu0(constants):
-    assert permeability(constants) == constants.mu0
-    assert abs(permeability(constants) * constants.eps0_accepted * constants.c_defined**2 - 1.0) < 1e-6
-
-
-def test_magnetization_vanishes(constants):
-    for species in constants.leptons():
-        assert magnetization(species) == 0.0
 
 
 def test_laser_spec_validation():

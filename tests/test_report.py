@@ -12,9 +12,18 @@ from pathlib import Path
 import pytest
 
 from vfvacuum import cli, dirac, oscillator, permittivity, report, vfmodel
-from vfvacuum.constants import load_constants
+from vfvacuum.constants import LEPTON_MASS_DOMAIN, load_constants
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+# Rows that compare a lepton-mass-dependent quantity with its value at the
+# pinned masses; every other row holds for any consistent constants table.
+MASS_TARGET_ROWS = {
+    "electron-vf-density",
+    "tau-vf-density",
+    "electron-vf-lifetime",
+    "electron-decay-lifetime",
+    "laser-below-vf-density",
+}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -48,7 +57,7 @@ def test_build_report_evaluates_each_quantity_once(monkeypatch, constants):
 
 
 def test_two_photon_row_runs_the_pipeline_halving(monkeypatch, constants):
-    monkeypatch.setattr(dirac, "two_photon_rate_natural", lambda species, constants, decay: decay.gamma / 1.9)
+    monkeypatch.setattr(dirac, "two_photon_rate_natural", lambda decay: decay.gamma / 1.9)
     rows = {row["name"]: row for row in report.build_report(constants)["checks"]}
     assert rows["two-photon-half-rate"]["status"] == "fail"
 
@@ -67,3 +76,11 @@ def test_override_report_keeps_eps0(constants):
         assert abs(eps0 / pinned - 1.0) < 1e-9
         assert overridden["overrides"] == {"m_muon": m_muon}
         assert all(row["status"] == "pass" for row in overridden["checks"])
+
+
+@pytest.mark.parametrize("name", ["m_electron", "m_muon", "m_tau"])
+@pytest.mark.parametrize("mass", LEPTON_MASS_DOMAIN)
+def test_invariant_rows_pass_at_the_mass_domain_edges(name, mass):
+    rows = report.build_report(load_constants({name: mass}))["checks"]
+    assert len(rows) == 17
+    assert {row["name"] for row in rows if row["status"] != "pass"} <= MASS_TARGET_ROWS
