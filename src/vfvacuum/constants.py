@@ -45,8 +45,8 @@ LEPTON_MASS_DOMAIN = (1e-80, 1e20)
 # 1/MeV, rates in MeV.
 NATURAL_DIMENSIONS = ("energy", "mass", "length", "time", "rate")
 
-_DATA_PACKAGE = "vfvacuum.data"
-_DATA_FILE = "si_constants.txt"
+# Located once per process; pinned_constants_text still reads it on every call.
+_PINNED_FILE = resources.files("vfvacuum.data").joinpath("si_constants.txt")
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ConstantsSet:
 
 def pinned_constants_text() -> str:
     """Raw text of the pinned constants file shipped with the package."""
-    return resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text(encoding="utf-8")
+    return _PINNED_FILE.read_text(encoding="utf-8")
 
 
 @functools.cache

@@ -174,10 +174,12 @@ def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.
     a, b, c, d = np.moveaxis(vectors, 1, 0)
     scale = np.maximum(1.0, np.max(np.abs(_dot(vectors, vectors)), axis=-1))
     sa, sb, sc, sd = slash(a), slash(b), slash(c), slash(d)
-    pair = np.abs(_trace(sa @ sb) - 4.0 * _dot(a, b)) / scale
+    ab = sa @ sb
+    abc = ab @ sc
+    pair = np.abs(_trace(ab) - 4.0 * _dot(a, b)) / scale
     expected = 4.0 * (_dot(a, b) * _dot(c, d) - _dot(a, c) * _dot(b, d) + _dot(a, d) * _dot(b, c))
-    quartet = np.abs(_trace(sa @ sb @ sc @ sd) - expected) / scale**2
-    odd = np.maximum(np.abs(_trace(sa)) / scale, np.abs(_trace(sa @ sb @ sc)) / scale**1.5)
+    quartet = np.abs(_trace(abc @ sd) - expected) / scale**2
+    odd = np.maximum(np.abs(_trace(sa)) / scale, np.abs(_trace(abc)) / scale**1.5)
     return pair, quartet, odd
 
 
@@ -203,16 +205,16 @@ def trace_identities_check(trials: int = 100, seed: int = 0) -> list[CheckRow]:
 
 
 def _require_lightlike(k: np.ndarray) -> None:
-    if np.any(k[..., 0] <= 0.0):
+    if (k[..., 0] <= 0.0).any():
         raise ValueError("photon momentum must have positive energy")
-    if np.any(np.abs(_dot(k, k)) > 1e-9 * k[..., 0] ** 2):
+    if (np.abs(_dot(k, k)) > 1e-9 * k[..., 0] ** 2).any():
         raise ValueError("photon momentum must be lightlike")
 
 
 def _require_polarization(eps: np.ndarray, k: np.ndarray, label: str) -> None:
-    if np.any(np.abs(_dot(eps, eps) + 1.0) > 1e-9):
+    if (np.abs(_dot(eps, eps) + 1.0) > 1e-9).any():
         raise ValueError(f"{label} must be a spacelike unit vector")
-    if np.any(np.abs(_dot(k, eps)) > 1e-9 * k[..., 0]):
+    if (np.abs(_dot(k, eps)) > 1e-9 * k[..., 0]).any():
         raise ValueError(f"{label} must be transverse to the photon momentum")
 
 
@@ -236,12 +238,12 @@ def squared_matrix_element(
     rest = slash(np.array([mass, 0.0, 0.0, 0.0]))
     ei, ef, ks = slash(e_i), slash(e_f), slash(k)
     commutator = ei @ ef - ef @ ei
-    reversed_commutator = ef @ ei - ei @ ef
+    reversed_commutator = -commutator
     matrix = (rest - mass * IDENTITY) @ commutator @ ks
     matrix = matrix @ (rest + mass * IDENTITY) @ ks @ reversed_commutator
     trace = _trace(matrix)
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
-    if np.any(non_real):
+    if non_real.any():
         raise RuntimeError(f"squared amplitude trace has a non-real part: {trace[non_real][0]}")
     return _float_or_array(trace.real / (16.0 * mass**4 * k[..., 0] ** 2))
 
@@ -264,10 +266,20 @@ def transverse_polarization_basis(k: VectorLike) -> tuple[FourVector, FourVector
     trial = np.eye(3)[np.argmin(np.abs(khat), axis=-1)]
     e1 = trial - _inner(trial, khat)[..., None] * khat
     e1 = e1 / np.sqrt(_inner(e1, e1))[..., None]
-    e2 = np.cross(khat, e1)
+    (a1, a2, a3), (b1, b2, b3) = np.moveaxis(khat, -1, 0), np.moveaxis(e1, -1, 0)
+    e2 = np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)  # khat x e1
     if isinstance(k, FourVector):
         return FourVector(0.0, *e1), FourVector(0.0, *e2)
     return np.concatenate([np.zeros(e1.shape[:-1] + (2, 1)), np.stack([e1, e2], axis=-2)], axis=-1)
+
+
+_PHOTON_Z = np.array([1.0, 0.0, 0.0, 1.0])  # k along z for a unit mass
+
+# The four (initial, final) transverse basis pairs of a photon along +z, in pair order.
+# They hold at every energy w whose square neither over- nor underflows, since then
+# sqrt(fl(w * w)) == w and the basis is exactly (0, 1, 0, 0), (0, 0, 1, 0).
+_PHOTON_Z_PAIRS = transverse_polarization_basis(_PHOTON_Z)[np.array([[0, 0, 1, 1], [0, 1, 0, 1]])]
+_PHOTON_Z_PAIRS.flags.writeable = False
 
 
 def polarization_sums(
@@ -364,9 +376,8 @@ def cross_section_coefficient(
     if photon_energy is None:
         photon_energy = mass
     k = np.array([photon_energy, 0.0, 0.0, photon_energy])
-    basis = transverse_polarization_basis(k)
-    # The four (initial, final) basis pairs in one call, summed in pair order.
-    element_sum = float(sum(squared_matrix_element(basis[[0, 0, 1, 1]], basis[[0, 1, 0, 1]], k, mass)))
+    # The four basis pairs in one call, summed in pair order.
+    element_sum = float(sum(squared_matrix_element(*_PHOTON_Z_PAIRS, k, mass)))
     # 1/2 averages the initial polarization; the leftover photon-coupling and
     # wavenumber-measure factors reduce to 4/pi against the pi alpha^2 / m^2
     # normalization of the quoted cross section.
@@ -434,9 +445,6 @@ def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray,
         deviation = spin_sum(kind, momentum, mass) - (pslash + sign * m * IDENTITY) / (2.0 * m)
         projector.append(np.max(np.abs(deviation), axis=(1, 2)))
     return np.max(dirac, axis=0), np.max(norm, axis=0), np.max(projector, axis=0)
-
-
-_PHOTON_Z = np.array([1.0, 0.0, 0.0, 1.0])  # k along z for a unit mass
 
 
 def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:

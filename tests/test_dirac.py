@@ -6,6 +6,7 @@ import pytest
 
 from vfvacuum import dirac
 from vfvacuum.checks import all_pass
+from vfvacuum.constants import LEPTON_MASS_DOMAIN
 from vfvacuum.dirac import (
     GAMMA,
     IDENTITY,
@@ -329,6 +330,34 @@ def test_batched_basis_and_sums_equal_per_row_calls():
         e1, e2 = transverse_polarization_basis(FourVector(*row))
         assert np.array_equal(basis, [e1.as_array(), e2.as_array()])
         assert polarization_sums(FourVector(*row)) == (sum_one, dot)
+
+
+def test_basis_cross_product_matches_np_cross():
+    rng = np.random.default_rng(17)
+    k3 = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1))
+    k3 = np.concatenate([k3, [[0, 0, 1], [0, 0, -2], [3, 0, 0], [0, -1, 0], [1, 1, 0], [-1, 1, 1]]])
+    norm = np.sqrt((k3[:, None, :] @ k3[:, :, None])[:, 0, 0])  # rounded as the basis rounds it
+    khat = k3 / norm[:, None]
+    momenta = np.concatenate([norm[:, None], k3], axis=1)
+    bases = transverse_polarization_basis(momenta)
+    assert np.array_equal(bases[:, 1, 1:], np.cross(khat, bases[:, 0, 1:]))
+    for row, direction in zip(momenta[-60:], khat[-60:]):
+        e1, e2 = transverse_polarization_basis(FourVector(*row))
+        assert np.array_equal(e2.spatial(), np.cross(direction, e1.spatial()))
+
+
+def test_photon_z_pairs_equal_the_basis_at_every_energy(constants):
+    low, high = (constants.to_natural(mass, "mass") for mass in LEPTON_MASS_DOMAIN)
+    for w in [*np.geomspace(low, high, 400), 0.01, 0.5, 1.0, 3.0, 40.0, 100.0]:
+        basis = transverse_polarization_basis(np.array([w, 0.0, 0.0, w]))
+        assert np.array_equal(dirac._PHOTON_Z_PAIRS[0], basis[[0, 0, 1, 1]])
+        assert np.array_equal(dirac._PHOTON_Z_PAIRS[1], basis[[0, 1, 0, 1]])
+
+
+@pytest.mark.parametrize("photon_energy", [0.0, -1.0])
+def test_cross_section_rejects_non_positive_photon_energy(photon_energy):
+    with pytest.raises(ValueError, match="photon momentum must have positive energy"):
+        cross_section_coefficient(photon_energy=photon_energy)
 
 
 def test_polarization_sums_reject_zero_momentum():

@@ -7,11 +7,13 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from vfvacuum import cli, dirac, oscillator, permittivity, report, vfmodel
+from vfvacuum import constants as constants_module
 from vfvacuum.constants import LEPTON_MASS_DOMAIN, load_constants
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -36,24 +38,35 @@ def test_pinned_report_bytes_match_golden(fmt):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == golden
 
 
+def count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_build_report_evaluates_each_quantity_once(monkeypatch, constants):
     calls = collections.Counter()
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(dirac, "decay_rate")
-    counted(permittivity, "eps0_total")
-    counted(vfmodel, "characterize")
-    counted(oscillator, "species_dipole")
+    count_calls(monkeypatch, calls, dirac, "decay_rate")
+    count_calls(monkeypatch, calls, permittivity, "eps0_total")
+    count_calls(monkeypatch, calls, vfmodel, "characterize")
+    count_calls(monkeypatch, calls, oscillator, "species_dipole")
     report.build_report(constants)
     assert calls == {"decay_rate": 3, "eps0_total": 1, "characterize": 3, "species_dipole": 3}
+
+
+def test_photon_basis_and_pinned_file_are_located_once_per_process(monkeypatch):
+    calls = collections.Counter()
+    count_calls(monkeypatch, calls, dirac, "transverse_polarization_basis")
+    count_calls(monkeypatch, calls, resources, "files")
+    # Counts the reads of every file of the pinned file's type: only the pinned file is read here.
+    count_calls(monkeypatch, calls, type(constants_module._PINNED_FILE), "read_text")
+    report.build_report(load_constants())
+    load_constants({"m_muon": 1e-28})
+    assert calls == {"read_text": 2}
 
 
 def test_two_photon_row_runs_the_pipeline_halving(monkeypatch, constants):
