@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -17,7 +16,3 @@ class CheckRow:
 def check_row(name: str, measured: float, tolerance: float) -> CheckRow:
     status = "pass" if measured <= tolerance else "fail"
     return CheckRow(name=name, status=status, measured=float(measured), tolerance=float(tolerance))
-
-
-def all_pass(rows: Iterable[CheckRow]) -> bool:
-    return all(row.status == "pass" for row in rows)

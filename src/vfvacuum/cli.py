@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import dirac, permittivity, report, vfmodel
@@ -148,7 +149,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

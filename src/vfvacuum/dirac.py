@@ -21,7 +21,9 @@ flux is carried symbolically and cancelled in the decay rate.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,6 +121,18 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 4x4 matrices or stacks of them, as one matrix product when
+    one side is a single matrix: a stacked ``@`` calls the BLAS once per matrix.
+    Each entry is the same 4-term sum of products either way."""
+    if a.ndim == 2 and b.ndim > 2:
+        rows = b.swapaxes(0, -2)  # each matrix's row index first; the order of the rest is immaterial
+        return (a @ rows.reshape(4, -1)).reshape(rows.shape).swapaxes(0, -2)
+    if b.ndim == 2 and a.ndim > 2:
+        return (a.reshape(-1, 4) @ b).reshape(a.shape)
+    return a @ b
 
 
 def slash(a: VectorLike) -> np.ndarray:
@@ -237,11 +251,11 @@ def squared_matrix_element(
 
     rest = slash(np.array([mass, 0.0, 0.0, 0.0]))
     ei, ef, ks = slash(e_i), slash(e_f), slash(k)
-    commutator = ei @ ef - ef @ ei
+    commutator = _matmul(ei, ef) - _matmul(ef, ei)
     reversed_commutator = -commutator
-    matrix = (rest - mass * IDENTITY) @ commutator @ ks
-    matrix = matrix @ (rest + mass * IDENTITY) @ ks @ reversed_commutator
-    trace = _trace(matrix)
+    # Multiplied left to right, as the trace reads.
+    chain = (rest - mass * IDENTITY, commutator, ks, rest + mass * IDENTITY, ks, reversed_commutator)
+    trace = _trace(functools.reduce(_matmul, chain))
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
         raise RuntimeError(f"squared amplitude trace has a non-real part: {trace[non_real][0]}")
@@ -275,10 +289,12 @@ def transverse_polarization_basis(k: VectorLike) -> tuple[FourVector, FourVector
 
 _PHOTON_Z = np.array([1.0, 0.0, 0.0, 1.0])  # k along z for a unit mass
 
-# The four (initial, final) transverse basis pairs of a photon along +z, in pair order.
-# They hold at every energy w whose square neither over- nor underflows, since then
+# The transverse basis of a photon along +z, and its four (initial, final) pairs in pair order.
+# Both hold at every energy w whose square neither over- nor underflows, since then
 # sqrt(fl(w * w)) == w and the basis is exactly (0, 1, 0, 0), (0, 0, 1, 0).
-_PHOTON_Z_PAIRS = transverse_polarization_basis(_PHOTON_Z)[np.array([[0, 0, 1, 1], [0, 1, 0, 1]])]
+_PHOTON_Z_BASIS = transverse_polarization_basis(_PHOTON_Z)
+_PHOTON_Z_PAIRS = _PHOTON_Z_BASIS[np.array([[0, 0, 1, 1], [0, 1, 0, 1]])]
+_PHOTON_Z_BASIS.flags.writeable = False
 _PHOTON_Z_PAIRS.flags.writeable = False
 
 
@@ -363,7 +379,8 @@ def cross_section_coefficient(
 
     ``all_four`` averages over all four fermion spin states; ``singlet_only``
     keeps the one spin state that can reach a single photon (charge
-    conjugation rules out the triplet), quadrupling the result.
+    conjugation rules out the triplet), quadrupling the result. A mass and
+    photon energy for which 16 m^4 w^2 is not a normal float raise ValueError.
     """
     if spin_average_mode == "all_four":
         spin_factor = 0.25
@@ -375,6 +392,18 @@ def cross_section_coefficient(
         )
     if photon_energy is None:
         photon_energy = mass
+    # The matrix element divides by 16 m^4 w^2. Where that over- or underflows, or is subnormal,
+    # the quotient is 0, NaN or wrongly rounded, so reject it before any array arithmetic.
+    # A mass or energy <= 0 is rejected by the matrix element, with its own message.
+    try:
+        scale = 16.0 * float(mass) ** 4 * float(photon_energy) ** 2
+    except OverflowError:
+        scale = math.inf
+    if not (mass <= 0.0 or photon_energy <= 0.0 or sys.float_info.min <= scale < math.inf):
+        raise ValueError(
+            f"mass {mass!r} with photon energy {photon_energy!r} is out of range: "
+            f"16 m^4 w^2 = {scale!r} is not a normal positive float"
+        )
     k = np.array([photon_energy, 0.0, 0.0, photon_energy])
     # The four basis pairs in one call, summed in pair order.
     element_sum = float(sum(squared_matrix_element(*_PHOTON_Z_PAIRS, k, mass)))
@@ -430,7 +459,8 @@ def _slash_square_residuals(rng: np.random.Generator, count: int) -> tuple[np.nd
 
 
 def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    draws = [(math.exp(rng.uniform(-1.0, 1.0)), rng.normal(size=3)) for _ in range(count)]
+    normal, random = rng.standard_normal, rng.random
+    draws = [(math.exp(-1.0 + 2.0 * random()), normal(3)) for _ in range(count)]
     mass = np.array([draw[0] for draw in draws])
     p3 = np.array([draw[1] for draw in draws]).reshape(count, 3) * mass[:, None]
     momentum = np.concatenate([np.sqrt(mass**2 + _inner(p3, p3))[:, None], p3], axis=-1)
@@ -448,7 +478,7 @@ def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray,
 
 
 def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    e1 = transverse_polarization_basis(_PHOTON_Z)[0]
+    e1 = _PHOTON_Z_BASIS[0]
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
     ef = np.stack([np.zeros(count), np.cos(theta), np.sin(theta), np.zeros(count)], axis=-1)
     brute = squared_matrix_element(e1, ef, _PHOTON_Z, 1.0)
@@ -456,7 +486,7 @@ def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.nda
 
 
 def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    e1, e2 = transverse_polarization_basis(_PHOTON_Z)
+    e1, e2 = _PHOTON_Z_BASIS
     reference = squared_matrix_element(e1, e2, _PHOTON_Z, 1.0)
     q, r = np.linalg.qr(rng.normal(size=(count, 3, 3)))
     rotation = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
@@ -468,7 +498,8 @@ def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarra
 
 
 def _polarization_sum_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    draws = [(rng.normal(size=3), math.exp(rng.uniform(-1.0, 1.0))) for _ in range(count)]
+    normal, random = rng.standard_normal, rng.random
+    draws = [(normal(3), math.exp(-1.0 + 2.0 * random())) for _ in range(count)]
     direction = np.array([d for d, _ in draws]).reshape(count, 3)
     direction = direction / np.sqrt(_inner(direction, direction))[:, None]
     energy = np.array([e for _, e in draws])[:, None]
@@ -477,7 +508,7 @@ def _polarization_sum_residuals(rng: np.random.Generator, count: int) -> tuple[n
 
 
 def _basis_independence_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    b1, b2 = transverse_polarization_basis(_PHOTON_Z)
+    b1, b2 = _PHOTON_Z_BASIS
     phi = rng.uniform(0.0, 2.0 * math.pi, size=count)[:, None]
     cos, sin = np.cos(phi), np.sin(phi)
     final = np.stack([cos * b1 + sin * b2, -sin * b1 + cos * b2], axis=-2)

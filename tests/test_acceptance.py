@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from vfvacuum import dirac, oscillator, permittivity, vfmodel
-from vfvacuum.checks import all_pass
 from vfvacuum.cli import run
 from vfvacuum.constants import load_constants
 from vfvacuum.dirac import FourVector
@@ -87,7 +86,7 @@ def test_05_trace_engine_property_suite():
     algebra = [r for r in rows if r.name.startswith(("trace-", "clifford", "spin", "slash"))]
     angular = [r for r in rows if "angular" in r.name]
     worst = max(row.measured for row in rows)
-    ok = all_pass(rows) and all(r.tolerance <= 1e-10 for r in algebra + angular)
+    ok = all(r.status == "pass" for r in rows) and all(r.tolerance <= 1e-10 for r in algebra + angular)
     judge(
         "trace engine property suite",
         ok,

@@ -2,12 +2,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from vfvacuum import oscillator
 from vfvacuum.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(argv):
@@ -178,6 +184,9 @@ SUBCOMMAND_BYTES = [
      "31a36c558d9f424cc585b1cbc7543c931f20f115ab7605d1e56db590a771c854"),
     ("trace-check --trials 50 --seed 3", "text", 0,
      "43fe709f74ff62c718cc7f8d96701c486e7b12dde309f2dabe0279ff347ca3dd"),
+    # One trial past a block of 1024.
+    ("trace-check --trials 1025 --seed 7", "json", 0,
+     "301d3a52e154459089c96d8d86738c5d5c58debd2d50eed4c83a969094e65f6b"),
 ]
 
 
@@ -186,6 +195,23 @@ def test_subcommand_bytes_are_pinned(command, fmt, expected_code, expected_sha):
     code, out, err = invoke([*command.split(), "--format", fmt])
     assert (code, err) == (expected_code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_sha
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_one_without_traceback(unbuffered):
+    """As ``vfvacuum decay muon | head -0``: the reader is gone before the CLI
+    writes, whether the write fails in ``print`` or in the flush after it."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vfvacuum.cli", "decay", "muon", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (1, b"")
 
 
 def test_reused_parser_keeps_defaults():

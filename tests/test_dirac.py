@@ -1,11 +1,11 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vfvacuum import dirac
-from vfvacuum.checks import all_pass
 from vfvacuum.constants import LEPTON_MASS_DOMAIN
 from vfvacuum.dirac import (
     GAMMA,
@@ -136,7 +136,7 @@ def test_trace_identities_report():
         "trace-quartet-identity",
         "trace-odd-vanishes",
     }
-    assert all_pass(rows)
+    assert all(row.status == "pass" for row in rows)
 
 
 def test_trace_identities_match_per_trial_loop():
@@ -354,6 +354,21 @@ def test_photon_z_pairs_equal_the_basis_at_every_energy(constants):
         assert np.array_equal(dirac._PHOTON_Z_PAIRS[1], basis[[0, 1, 0, 1]])
 
 
+@pytest.mark.parametrize("mass", [1e-60, 1e-80, 1e60, 1e80])
+def test_cross_section_rejects_mass_whose_denominator_leaves_the_floats(mass):
+    """16 m^4 w^2 underflows to 0 or overflows to inf: a ValueError naming the
+    mass, not a NaN, a 0.0 or an OverflowError."""
+    with pytest.raises(ValueError, match=re.escape(f"mass {mass!r} ")):
+        cross_section_coefficient(mass=mass)
+
+
+def test_cross_section_keeps_its_value_at_the_mass_domain_edges(constants):
+    for mass in LEPTON_MASS_DOMAIN:
+        natural = constants.to_natural(mass, "mass")
+        assert cross_section_coefficient("singlet_only", mass=natural) == 8.0
+        assert cross_section_coefficient("all_four", mass=natural) == 2.0
+
+
 @pytest.mark.parametrize("photon_energy", [0.0, -1.0])
 def test_cross_section_rejects_non_positive_photon_energy(photon_energy):
     with pytest.raises(ValueError, match="photon momentum must have positive energy"):
@@ -499,7 +514,7 @@ def test_two_photon_rate_reads_a_held_decay(constants, electron, muon, monkeypat
 
 def test_verification_suite_passes_and_is_deterministic():
     rows = verification_suite(trials=100, seed=7)
-    assert all_pass(rows)
+    assert all(row.status == "pass" for row in rows)
     assert rows == verification_suite(trials=100, seed=7)
     assert len(rows) >= 18
 
@@ -532,7 +547,7 @@ def test_verification_suite_rows_at_block_edges(trials):
     at their minimum of one trial."""
     rows = verification_suite(trials=trials, seed=3)
     assert [row.name for row in rows] == SUITE_ROWS
-    assert all_pass(rows)
+    assert all(row.status == "pass" for row in rows)
 
 
 def test_verification_suite_independent_of_block_size(monkeypatch):
@@ -567,8 +582,43 @@ def test_suite_sections_draw_apart_from_trace_identities(monkeypatch):
     assert not np.any(first_draws["_trace_identity_residuals"] == first_draws["_slash_square_residuals"])
 
 
+@pytest.mark.parametrize("count", [1, 4, 200, 1000, 1025])
+def test_constant_factor_product_equals_stacked_matmul(count):
+    """The one-product path for a single 4x4 factor gives every entry the bits
+    that a stacked ``@`` gives, with the constant on either side."""
+    rng = np.random.default_rng(count)
+    constants = [
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+        slash(rng.normal(size=4)) - 0.7 * IDENTITY,
+    ]
+    stacks = [
+        rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4)),
+        slash(rng.normal(size=(count, 4))) @ slash(rng.normal(size=(count, 4))),
+        slash(rng.normal(size=(2, count, 4))),
+    ]
+    for constant in constants:
+        for stack in stacks:
+            assert np.array_equal(dirac._matmul(constant, stack), constant @ stack)
+            assert np.array_equal(dirac._matmul(stack, constant), stack @ constant)
+    assert np.array_equal(dirac._matmul(stacks[0], stacks[1]), stacks[0] @ stacks[1])
+
+
+def test_bound_draw_calls_read_the_same_stream():
+    """The suite's per-trial loops call ``standard_normal(3)`` and ``-1 + 2 random()``
+    through bound methods; both consume the words ``normal(size=3)`` and
+    ``uniform(-1, 1)`` consume and give the same values."""
+    reference, bound = np.random.default_rng(2024), np.random.default_rng(2024)
+    normal, random = bound.standard_normal, bound.random
+    expected = [(reference.normal(size=3), reference.uniform(-1.0, 1.0)) for _ in range(5000)]
+    drawn = [(normal(3), -1.0 + 2.0 * random()) for _ in range(5000)]
+    assert np.array_equal([d for d, _ in drawn], [d for d, _ in expected])
+    assert np.array_equal([u for _, u in drawn], [u for _, u in expected])
+    assert bound.bit_generator.state == reference.bit_generator.state
+
+
 def test_verification_suite_passes_over_seeds_at_1000_trials():
     for seed in range(10):
         rows = verification_suite(trials=1000, seed=seed)
         assert [row.name for row in rows] == SUITE_ROWS
-        assert all_pass(rows), (seed, [row for row in rows if row.status != "pass"])
+        failed = [row for row in rows if row.status != "pass"]
+        assert not failed, (seed, failed)
