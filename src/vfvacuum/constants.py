@@ -1,9 +1,9 @@
 """Pinned fundamental constants, lepton data, and SI/natural-unit conversion.
 
 All values live in a versioned data file shipped with the package; nothing is
-fetched at runtime. The loaded set is immutable and every load re-runs the
-self-consistency checks, so a bad override cannot produce a silently
-inconsistent constant set.
+fetched at runtime. Every ``ConstantsSet`` is immutable and audited when it
+is built, so neither a bad override nor a set built directly can be silently
+inconsistent.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class LeptonSpecies:
 
 @dataclass(frozen=True)
 class ConstantsSet:
-    """Immutable, audited set of SI constants. Safe for concurrent reads."""
+    """Immutable set of SI constants, audited when built. Safe for concurrent reads."""
 
     c_defined: float
     h: float
@@ -79,6 +79,9 @@ class ConstantsSet:
     m_electron: float
     m_muon: float
     m_tau: float
+
+    def __post_init__(self):
+        _check_invariants(self)
 
     def lepton(self, name: str) -> LeptonSpecies:
         if name not in LEPTON_NAMES:
@@ -164,7 +167,7 @@ def read_override_table(path) -> dict[str, float]:
 
 
 def load_constants(overrides: Mapping[str, float] | None = None) -> ConstantsSet:
-    """Load the pinned constants, apply overrides, and re-check all invariants.
+    """Load the pinned constants and apply overrides; building the set audits it.
 
     Raises ValueError for an unknown override name and ConsistencyError when
     the merged table violates a self-consistency requirement.
@@ -178,9 +181,7 @@ def load_constants(overrides: Mapping[str, float] | None = None) -> ConstantsSet
     missing = [name for name in CONSTANT_NAMES if name not in table]
     if missing:
         raise ConsistencyError(f"pinned constants file is missing entries: {missing}")
-    constants = ConstantsSet(**{name: table[name] for name in CONSTANT_NAMES})
-    _check_invariants(constants)
-    return constants
+    return ConstantsSet(**{name: table[name] for name in CONSTANT_NAMES})
 
 
 def _rel_err(value: float, reference: float) -> float:
@@ -188,6 +189,7 @@ def _rel_err(value: float, reference: float) -> float:
 
 
 def _check_invariants(c: ConstantsSet) -> None:
+    """The one home of every table invariant; the physics layers re-check none."""
     for name in CONSTANT_NAMES:
         value = getattr(c, name)
         if not math.isfinite(value) or value <= 0.0:
@@ -205,13 +207,11 @@ def _check_invariants(c: ConstantsSet) -> None:
         raise ConsistencyError("hbar != h/(2*pi) at machine precision")
 
     alpha_from_charge = c.e_charge**2 / (4.0 * math.pi * c.eps0_accepted * c.hbar * c.c_defined)
-    if _rel_err(alpha_from_charge, c.alpha) > 1e-6:
-        raise ConsistencyError("alpha != e^2/(4*pi*eps0*hbar*c) within 1e-6")
+    # eps0 is stored independently and audited against the defining relation,
+    # never derived silently; the headline comparison must not be circular.
+    # 5e-10 keeps alpha^2, which the pair formulas read in both forms, within 1e-9.
+    if _rel_err(alpha_from_charge, c.alpha) > 5e-10:
+        raise ConsistencyError("alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10")
 
     if abs(c.mu0 * c.eps0_accepted * c.c_defined**2 - 1.0) > 1e-6:
         raise ConsistencyError("mu0*eps0*c^2 != 1 within 1e-6")
-
-    # eps0 is stored independently and audited against the defining relation,
-    # never derived silently; the headline comparison must not be circular.
-    if _rel_err(c.eps0_accepted, c.e_charge**2 / (2.0 * c.alpha * c.h * c.c_defined)) > 1e-6:
-        raise ConsistencyError("eps0_accepted != e^2/(2*alpha*h*c) within 1e-6")

@@ -219,10 +219,29 @@ def trace_identities_check(trials: int = 100, seed: int = 0) -> list[CheckRow]:
 
 
 def _require_lightlike(k: np.ndarray) -> None:
-    if (k[..., 0] <= 0.0).any():
+    # Every condition fails on NaN; k is scaled by its energy so k.k cannot overflow.
+    energy = k[..., 0]
+    if not (energy > 0.0).all():
         raise ValueError("photon momentum must have positive energy")
-    if (np.abs(_dot(k, k)) > 1e-9 * k[..., 0] ** 2).any():
+    unit = k / energy[..., None]
+    if not (np.abs(_dot(unit, unit)) <= 1e-9).all():
         raise ValueError("photon momentum must be lightlike")
+
+
+def _normal_denominator(mass: float, energy: np.ndarray) -> np.ndarray:
+    """16 m^4 w^2, which normalizes the matrix element. Where it over- or underflows,
+    or is subnormal, the quotient would be inf, 0, NaN or wrongly rounded: ValueError."""
+    with np.errstate(over="ignore", under="ignore"):
+        denominator = 16.0 * np.float64(mass) ** 4 * energy**2
+    bad = ~((denominator >= sys.float_info.min) & (denominator < math.inf))
+    if bad.any():
+        first = np.argmax(np.ravel(bad))
+        w, scale = (float(np.ravel(x)[first]) for x in (energy, denominator))
+        raise ValueError(
+            f"mass {float(mass)!r} with photon energy {w!r} is out of range: "
+            f"16 m^4 w^2 = {scale!r} is not a normal positive float"
+        )
+    return denominator
 
 
 def _require_polarization(eps: np.ndarray, k: np.ndarray, label: str) -> None:
@@ -240,12 +259,14 @@ def squared_matrix_element(
     No symbolic simplification: the commutator structure, the photon slash,
     and the (pslash +- m) projectors are multiplied out entrywise and traced.
     FourVectors give a float; (..., 4) component arrays, which broadcast
-    against each other, give an array.
+    against each other, give an array. A mass and photon energy for which
+    16 m^4 w^2 is not a normal float raise ValueError.
     """
     if not (mass > 0.0):
         raise ValueError("mass must be positive")
     e_i, e_f, k = _components(epsilon_i), _components(epsilon_f), _components(k_i)
     _require_lightlike(k)
+    denominator = _normal_denominator(mass, k[..., 0])
     _require_polarization(e_i, k, "initial polarization")
     _require_polarization(e_f, k, "final polarization")
 
@@ -259,7 +280,7 @@ def squared_matrix_element(
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
         raise RuntimeError(f"squared amplitude trace has a non-real part: {trace[non_real][0]}")
-    return _float_or_array(trace.real / (16.0 * mass**4 * k[..., 0] ** 2))
+    return _float_or_array(trace.real / denominator)
 
 
 def closed_form_matrix_element(
@@ -392,18 +413,6 @@ def cross_section_coefficient(
         )
     if photon_energy is None:
         photon_energy = mass
-    # The matrix element divides by 16 m^4 w^2. Where that over- or underflows, or is subnormal,
-    # the quotient is 0, NaN or wrongly rounded, so reject it before any array arithmetic.
-    # A mass or energy <= 0 is rejected by the matrix element, with its own message.
-    try:
-        scale = 16.0 * float(mass) ** 4 * float(photon_energy) ** 2
-    except OverflowError:
-        scale = math.inf
-    if not (mass <= 0.0 or photon_energy <= 0.0 or sys.float_info.min <= scale < math.inf):
-        raise ValueError(
-            f"mass {mass!r} with photon energy {photon_energy!r} is out of range: "
-            f"16 m^4 w^2 = {scale!r} is not a normal positive float"
-        )
     k = np.array([photon_energy, 0.0, 0.0, photon_energy])
     # The four basis pairs in one call, summed in pair order.
     element_sum = float(sum(squared_matrix_element(*_PHOTON_Z_PAIRS, k, mass)))

@@ -60,35 +60,31 @@ def annihilation_rate_closed_form(species: LeptonSpecies, constants: ConstantsSe
     return constants.alpha**5 * species.mass_energy / constants.hbar
 
 
-def _linearized_probability(
+def interaction_probability_linearized(
     species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
+    """Rate-lifetime product Gamma * dt of ``decay`` (a ``decay_rate`` result),
+    the small exponent of the interaction probability; algebraically alpha^5/4."""
     return constants.from_natural(decay.gamma, "rate") * vfmodel.vf_lifetime(species, constants)
 
 
-def _effective_density(
+def interaction_probability(
     species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
-    return vfmodel.number_density(species, constants) * _linearized_probability(species, constants, decay)
-
-
-def interaction_probability_linearized(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Rate-lifetime product Gamma * dt, the small exponent of the interaction
-    probability; algebraically alpha^5/4."""
-    return _linearized_probability(species, constants, dirac.decay_rate(species, constants))
-
-
-def interaction_probability(species: LeptonSpecies, constants: ConstantsSet) -> float:
     """Probability that a pair interacts with a photon during its lifetime,
     1 - exp(-Gamma*dt)."""
     # expm1 keeps the ~5e-12 exponent from drowning in the 1-ulp of 1.0.
-    return -math.expm1(-interaction_probability_linearized(species, constants))
+    return -math.expm1(-interaction_probability_linearized(species, constants, decay))
 
 
-def effective_density(species: LeptonSpecies, constants: ConstantsSet) -> float:
+def effective_density(
+    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+) -> float:
     """Density of pairs that actually interact: number density times the
     linearized interaction probability."""
-    return _effective_density(species, constants, dirac.decay_rate(species, constants))
+    return vfmodel.number_density(species, constants) * interaction_probability_linearized(
+        species, constants, decay
+    )
 
 
 def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -105,13 +101,8 @@ def _species_contribution(species: LeptonSpecies, constants: ConstantsSet) -> Sp
         species, constants, oscillator.PhotonField(1.0, species.charge_magnitude)
     )
     decay = dirac.decay_rate(species, constants)
-    n_vf = _effective_density(species, constants, decay)
+    n_vf = effective_density(species, constants, decay)
     return SpeciesContribution(species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay)
-
-
-def eps0_contribution(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """One species' permittivity contribution. The species mass cancels."""
-    return _species_contribution(species, constants).contribution
 
 
 def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
@@ -124,17 +115,14 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     totals, closed forms, and deviations from the accepted values."""
     per_species = [_species_contribution(species, constants) for species in constants.leptons()]
     contributions = [entry.contribution for entry in per_species]
-    if not all(value > 0.0 for value in contributions):  # NaN fails too
-        raise ConsistencyError("every species contribution must be positive")
-    spread = (max(contributions) - min(contributions)) / min(contributions)
-    if not spread <= 1e-9:
-        raise ConsistencyError(f"species contributions differ by {spread:.3e}; mass did not cancel")
+    # The one guard: c_calculated needs it. Mass cancellation and the alpha-vs-mu0
+    # agreement are the report rows per-species-equality and alpha-vs-mu0-closed-form.
+    if not all(0.0 < value < math.inf for value in contributions):  # NaN fails too
+        raise ConsistencyError("every species contribution must be finite and positive")
 
     eps0_calculated = sum(contributions)
     alpha_form = 3.0 * eps0_contribution_closed_form(constants)
     mu0_form = (6.0 * constants.mu0 / math.pi) * (8.0 * constants.e_charge**2 / constants.hbar) ** 2
-    if abs(mu0_form - alpha_form) / alpha_form > 1e-6:
-        raise ConsistencyError("mu0-form and alpha-form closed totals disagree beyond 1e-6")
 
     c_calculated = 1.0 / math.sqrt(constants.mu0 * eps0_calculated)
     return PermittivityReport(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import ConsistencyError, ConstantsSet, LeptonSpecies
+from .constants import ConstantsSet, LeptonSpecies
 
 
 @dataclass(frozen=True)
@@ -63,34 +63,16 @@ def number_density(species: LeptonSpecies, constants: ConstantsSet) -> float:
 
 
 def characterize(species: LeptonSpecies, constants: ConstantsSet) -> VfCharacterization:
-    """Aggregate every per-species quantity and enforce the record invariants."""
-    record = VfCharacterization(
+    """Aggregate every per-species quantity. Its identities hold by construction
+    on an audited ``ConstantsSet``, so none is re-checked here."""
+    length = vf_length(species, constants)
+    return VfCharacterization(
         species=species,
         binding_energy=binding_energy(species, constants),
         omega0=resonant_frequency(species, constants),
         creation_energy=creation_energy(species, constants),
         lifetime=vf_lifetime(species, constants),
-        length=vf_length(species, constants),
-        volume=vf_length(species, constants) ** 3,
+        length=length,
+        volume=length**3,
         number_density=number_density(species, constants),
     )
-    _validate(record, constants)
-    return record
-
-
-def _validate(r: VfCharacterization, constants: ConstantsSet) -> None:
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / abs(b)
-
-    if not r.binding_energy < 0.0:
-        raise ConsistencyError("binding energy must be negative")
-    if rel(r.omega0, abs(r.binding_energy) / constants.hbar) > 1e-9:
-        raise ConsistencyError("omega0 != |binding energy|/hbar")
-    if rel(r.length, constants.c_defined * r.lifetime) > 1e-12:
-        raise ConsistencyError("length != c * lifetime")
-    if rel(r.volume, r.length**3) > 1e-12:
-        raise ConsistencyError("volume != length^3")
-    if abs(r.number_density * r.volume - 1.0) > 1e-12:
-        raise ConsistencyError("number density * volume != 1")
-    if rel(abs(r.binding_energy) / r.creation_energy, constants.alpha**2 / 8.0) > 1e-9:
-        raise ConsistencyError("|binding|/creation != alpha^2/8")

@@ -12,6 +12,7 @@ import pytest
 
 from vfvacuum import oscillator
 from vfvacuum.cli import run
+from vfvacuum.constants import load_constants
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -161,6 +162,70 @@ def test_consistency_error_during_evaluation_is_input_error(monkeypatch):
     assert out == ""
     assert err.startswith("error:") and "positive" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_unequal_species_contributions_fail_a_check(monkeypatch):
+    """The mass-cancellation row is the one check of equal contributions: a
+    skewed muon fails it with exit 1, not an input error."""
+    dipole = oscillator.species_dipole
+
+    def skewed(species, constants, field):
+        value = dipole(species, constants, field)
+        return value * (1.0 + 1e-8) if species.name == "muon" else value
+
+    monkeypatch.setattr(oscillator, "species_dipole", skewed)
+    code, out, err = invoke(["report"])
+    assert (code, err) == (1, "")
+    assert "[fail] per-species-equality" in out
+    code, out, err = invoke(["report", "--format", "json"])
+    assert (code, err) == (1, "")
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    assert rows["per-species-equality"]["status"] == "fail"
+    assert rows["per-species-equality"]["measured"] == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_compounding_mu0_and_alpha_offsets_fail_a_check(tmp_path):
+    """Each offset is within its table tolerance, but together they move the
+    mu0 form of the total past 1e-6 from the alpha form: a failed row, exit 1."""
+    constants = load_constants()
+    override = tmp_path / "constants.txt"
+    override.write_text(
+        f"mu0 = {constants.mu0 * (1 + 0.99999e-6)!r}\nalpha = {constants.alpha * (1 - 4e-10)!r}\n"
+    )
+    code, out, err = invoke(["report", "--format", "json", "--constants", str(override)])
+    assert (code, err) == (1, "")
+    failed = [row["name"] for row in json.loads(out)["checks"] if row["status"] == "fail"]
+    assert failed == ["alpha-vs-mu0-closed-form"]
+
+
+ALL_SUBCOMMANDS = [
+    "report",
+    "species electron",
+    "decay tau",
+    "trace-check --trials 5",
+    "laser --power 6000 --wavelength 10e-6 --radius 0.16e-3",
+    "constants",
+]
+
+
+@pytest.mark.parametrize("command", ALL_SUBCOMMANDS)
+@pytest.mark.parametrize("offset", [4.9e-10, -4.9e-10])
+def test_alpha_within_tolerance_accepted_by_every_subcommand(tmp_path, command, offset):
+    override = tmp_path / "constants.txt"
+    override.write_text(f"alpha = {load_constants().alpha * (1 + offset)!r}\n")
+    code, out, err = invoke([*command.split(), "--constants", str(override)])
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", ALL_SUBCOMMANDS)
+@pytest.mark.parametrize("offset", [5.1e-10, -5.1e-10])
+def test_alpha_beyond_tolerance_rejected_by_every_subcommand(tmp_path, command, offset):
+    override = tmp_path / "constants.txt"
+    override.write_text(f"alpha = {load_constants().alpha * (1 + offset)!r}\n")
+    code, out, err = invoke([*command.split(), "--constants", str(override)])
+    assert (code, out) == (2, "")
+    assert err == "error: bad constants: alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10\n"
 
 
 # SHA-256 of stdout and the exit code of each subcommand other than `report`

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vfvacuum.constants import (
     LEPTON_MASS_DOMAIN,
     NATURAL_DIMENSIONS,
     ConsistencyError,
+    ConstantsSet,
     constants_digest,
     load_constants,
     parse_constants_text,
@@ -46,6 +48,25 @@ def test_inconsistent_override_rejected():
     # Scaling h alone breaks hbar = h/(2 pi).
     with pytest.raises(ConsistencyError):
         load_constants({"h": 6.7e-34})
+
+
+def test_constants_set_built_directly_is_audited(constants):
+    fields = {name: getattr(constants, name) for name in CONSTANT_NAMES}
+    assert ConstantsSet(**fields) == constants
+    # Scaling h alone breaks hbar = h/(2 pi).
+    with pytest.raises(ConsistencyError, match="hbar"):
+        ConstantsSet(**{**fields, "h": 6.7e-34})
+
+
+@pytest.mark.parametrize("factor", [1 + 4.9e-10, 1 - 4.9e-10])
+def test_alpha_within_tolerance_accepted(constants, factor):
+    assert load_constants({"alpha": constants.alpha * factor}).alpha == constants.alpha * factor
+
+
+@pytest.mark.parametrize("factor", [1 + 5.1e-10, 1 - 5.1e-10])
+def test_alpha_beyond_tolerance_rejected(constants, factor):
+    with pytest.raises(ConsistencyError, match=re.escape("alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10")):
+        load_constants({"alpha": constants.alpha * factor})
 
 
 def test_unknown_override_name_rejected():

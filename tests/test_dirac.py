@@ -362,6 +362,39 @@ def test_cross_section_rejects_mass_whose_denominator_leaves_the_floats(mass):
         cross_section_coefficient(mass=mass)
 
 
+@pytest.mark.parametrize("scale", [1e-60, 1e60, 1e-160, 1e160])
+def test_matrix_element_rejects_mass_and_energy_whose_denominator_leaves_the_floats(scale):
+    """At 1e-60 the denominator underflows (the parent returned inf), at 1e60
+    it overflows (0.0); at 1e+-160 w^2 itself leaves the floats."""
+    k = np.array([scale, 0.0, 0.0, scale])
+    message = re.escape(f"mass {scale!r} with photon energy {scale!r} is out of range")
+    with pytest.raises(ValueError, match=message):
+        squared_matrix_element(*dirac._PHOTON_Z_BASIS, k, scale)
+    with pytest.raises(ValueError, match=message):
+        cross_section_coefficient(mass=scale)
+
+
+def test_matrix_element_names_the_first_photon_energy_out_of_range():
+    k = np.array([[1.0, 0.0, 0.0, 1.0], [1e-120, 0.0, 0.0, 1e-120], [1e-130, 0.0, 0.0, 1e-130]])
+    with pytest.raises(ValueError, match=re.escape("mass 1e-20 with photon energy 1e-120 ")):
+        squared_matrix_element(*dirac._PHOTON_Z_BASIS, k, 1e-20)
+
+
+def test_nan_photon_energy_is_rejected():
+    k = np.array([math.nan, 0.0, 0.0, math.nan])
+    with pytest.raises(ValueError, match="photon momentum must have positive energy"):
+        squared_matrix_element(*dirac._PHOTON_Z_BASIS, k, 1.0)
+    with pytest.raises(ValueError, match="photon momentum must have positive energy"):
+        polarization_sums(k)
+    with pytest.raises(ValueError, match="photon momentum must have positive energy"):
+        transverse_polarization_basis(k)
+
+
+def test_nan_photon_momentum_is_not_lightlike():
+    with pytest.raises(ValueError, match="lightlike"):
+        polarization_sums(np.array([1.0, math.nan, 0.0, 1.0]))
+
+
 def test_cross_section_keeps_its_value_at_the_mass_domain_edges(constants):
     for mass in LEPTON_MASS_DOMAIN:
         natural = constants.to_natural(mass, "mass")

@@ -9,7 +9,6 @@ from vfvacuum.permittivity import (
     annihilation_rate_closed_form,
     effective_density,
     effective_density_closed_form,
-    eps0_contribution,
     eps0_contribution_closed_form,
     eps0_total,
     interaction_probability,
@@ -18,15 +17,22 @@ from vfvacuum.permittivity import (
 )
 
 
+def report_entry(species, constants):
+    """One species' entry of the permittivity report."""
+    return eps0_total(constants).per_species[constants.leptons().index(species)]
+
+
 def test_rate_lifetime_product_is_alpha_fifth_over_four(constants, electron):
-    product = interaction_probability_linearized(electron, constants)
+    decay = dirac.decay_rate(electron, constants)
+    product = interaction_probability_linearized(electron, constants, decay)
     assert product == pytest.approx(constants.alpha**5 / 4.0, rel=1e-12)
 
 
 def test_probability_bounds_and_linearization(constants):
     for species in constants.leptons():
-        exact = interaction_probability(species, constants)
-        linear = interaction_probability_linearized(species, constants)
+        decay = dirac.decay_rate(species, constants)
+        exact = interaction_probability(species, constants, decay)
+        linear = interaction_probability_linearized(species, constants, decay)
         assert 0.0 < exact < 1.0
         # difference is the quadratic term of the exponential, ~(Gamma dt)^2/2
         assert abs(exact - linear) < 1e-20
@@ -34,34 +40,37 @@ def test_probability_bounds_and_linearization(constants):
 
 
 def test_effective_density_electron(constants, electron):
-    value = effective_density(electron, constants)
+    value = effective_density(electron, constants, dirac.decay_rate(electron, constants))
     assert value == pytest.approx(5.8e27, rel=2e-2)
     assert value == pytest.approx(effective_density_closed_form(electron, constants), rel=1e-12)
 
 
 def test_effective_density_is_density_times_probability(constants, electron):
-    assert effective_density(electron, constants) == pytest.approx(
+    decay = dirac.decay_rate(electron, constants)
+    assert effective_density(electron, constants, decay) == pytest.approx(
         vfmodel.number_density(electron, constants)
-        * interaction_probability_linearized(electron, constants),
+        * interaction_probability_linearized(electron, constants, decay),
         rel=1e-12,
     )
 
 
 def test_effective_density_mass_cubed_scaling(constants, electron, muon):
-    ratio = effective_density(muon, constants) / effective_density(electron, constants)
+    electron_density = effective_density(electron, constants, dirac.decay_rate(electron, constants))
+    muon_density = effective_density(muon, constants, dirac.decay_rate(muon, constants))
+    ratio = muon_density / electron_density
     assert ratio == pytest.approx((muon.mass / electron.mass) ** 3, rel=1e-9)
 
 
 def test_eps0_contribution_electron(constants, electron):
-    value = eps0_contribution(electron, constants)
+    value = report_entry(electron, constants).contribution
     assert value == pytest.approx(3.03e-12, rel=5e-3)
     assert value == pytest.approx(eps0_contribution_closed_form(constants), rel=1e-9)
 
 
 def test_eps0_contribution_identical_across_species(constants, electron, muon, tau):
-    reference = eps0_contribution(electron, constants)
-    assert eps0_contribution(muon, constants) == pytest.approx(reference, rel=1e-9)
-    assert eps0_contribution(tau, constants) == pytest.approx(reference, rel=1e-9)
+    reference = report_entry(electron, constants).contribution
+    assert report_entry(muon, constants).contribution == pytest.approx(reference, rel=1e-9)
+    assert report_entry(tau, constants).contribution == pytest.approx(reference, rel=1e-9)
 
 
 def test_eps0_total_headline(constants):
@@ -112,7 +121,7 @@ def test_eps0_independent_of_lepton_masses(constants):
 
 @pytest.mark.parametrize("dipole", [math.nan, math.inf])
 def test_eps0_total_rejects_nonfinite_contributions(constants, monkeypatch, dipole):
-    # NaN fails the positivity guard; inf passes it but makes the spread NaN.
+    # NaN and inf both fail the one guard: every contribution finite and positive.
     monkeypatch.setattr(oscillator, "species_dipole", lambda *args: dipole)
     with pytest.raises(ConsistencyError):
         eps0_total(constants)
@@ -145,8 +154,8 @@ def test_eps0_total_carries_one_decay_per_species(constants):
     report = eps0_total(constants)
     for entry, species in zip(report.per_species, constants.leptons()):
         assert entry.decay == dirac.decay_rate(species, constants)
-        assert entry.n_vf == effective_density(species, constants)
-        assert entry.contribution == eps0_contribution(species, constants)
+        assert entry.n_vf == effective_density(species, constants, dirac.decay_rate(species, constants))
+        assert entry.contribution == report_entry(species, constants).contribution
 
 
 def test_cutting_laser_photon_density(constants):
