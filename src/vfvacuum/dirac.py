@@ -79,6 +79,7 @@ class FourVector:
 
 
 VectorLike = FourVector | np.ndarray  # one FourVector, or (..., 4) components
+Floats = float | np.ndarray  # one value, or a stack of them
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ def _float_or_array(x: np.ndarray) -> float | np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minkowski product over the last axis."""
-    return a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
+    p = a * b
+    return p[..., 0] - p[..., 1] - p[..., 2] - p[..., 3]
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,7 +122,9 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
-    return np.trace(m, axis1=-2, axis2=-1)
+    """Trace over the last two axes, summed in the pairwise order ``np.trace`` uses on the complex
+    stacks the engine traces, whose matrix axes are innermost; ``0.0 +`` gives its signed zeros."""
+    return 0.0 + ((m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3]))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -228,41 +232,46 @@ def _require_lightlike(k: np.ndarray) -> None:
         raise ValueError("photon momentum must be lightlike")
 
 
-def _normal_denominator(mass: float, energy: np.ndarray) -> np.ndarray:
+def _normal_denominator(mass: Floats, energy: np.ndarray) -> np.ndarray:
     """16 m^4 w^2, which normalizes the matrix element. Where it over- or underflows,
     or is subnormal, the quotient would be inf, 0, NaN or wrongly rounded: ValueError."""
     with np.errstate(over="ignore", under="ignore"):
-        denominator = 16.0 * np.float64(mass) ** 4 * energy**2
+        # float_power rounds as the scalar power np.float64(m)**4 does, here and for m^2 in
+        # cross_section_coefficient; the array powers differ in the last bit for some masses.
+        denominator = 16.0 * np.float_power(mass, 4) * energy**2
     bad = ~((denominator >= sys.float_info.min) & (denominator < math.inf))
     if bad.any():
         first = np.argmax(np.ravel(bad))
-        w, scale = (float(np.ravel(x)[first]) for x in (energy, denominator))
+        m, w, scale = (float(np.broadcast_to(x, bad.shape).flat[first]) for x in (mass, energy, denominator))
         raise ValueError(
-            f"mass {float(mass)!r} with photon energy {w!r} is out of range: "
+            f"mass {m!r} with photon energy {w!r} is out of range: "
             f"16 m^4 w^2 = {scale!r} is not a normal positive float"
         )
     return denominator
 
 
 def _require_polarization(eps: np.ndarray, k: np.ndarray, label: str) -> None:
-    if (np.abs(_dot(eps, eps) + 1.0) > 1e-9).any():
+    # Both conditions fail on NaN.
+    if not (np.abs(_dot(eps, eps) + 1.0) <= 1e-9).all():
         raise ValueError(f"{label} must be a spacelike unit vector")
-    if (np.abs(_dot(k, eps)) > 1e-9 * k[..., 0]).any():
+    if not (np.abs(_dot(k, eps)) <= 1e-9 * k[..., 0]).all():
         raise ValueError(f"{label} must be transverse to the photon momentum")
 
 
 def squared_matrix_element(
-    epsilon_i: VectorLike, epsilon_f: VectorLike, k_i: VectorLike, mass: float
-) -> float | np.ndarray:
+    epsilon_i: VectorLike, epsilon_f: VectorLike, k_i: VectorLike, mass: Floats
+) -> Floats:
     """Spin-summed reduced squared amplitude by brute-force matrix products.
 
     No symbolic simplification: the commutator structure, the photon slash,
     and the (pslash +- m) projectors are multiplied out entrywise and traced.
-    FourVectors give a float; (..., 4) component arrays, which broadcast
-    against each other, give an array. A mass and photon energy for which
-    16 m^4 w^2 is not a normal float raise ValueError.
+    FourVectors and a float mass give a float; (..., 4) component arrays and
+    an array of masses, all broadcasting against each other's leading axes,
+    give an array. A mass and photon energy for which 16 m^4 w^2 is not a
+    normal float raise ValueError.
     """
-    if not (mass > 0.0):
+    m = np.asarray(mass)[..., None]
+    if not (m > 0.0).all():  # NaN fails too
         raise ValueError("mass must be positive")
     e_i, e_f, k = _components(epsilon_i), _components(epsilon_f), _components(k_i)
     _require_lightlike(k)
@@ -270,12 +279,12 @@ def squared_matrix_element(
     _require_polarization(e_i, k, "initial polarization")
     _require_polarization(e_f, k, "final polarization")
 
-    rest = slash(np.array([mass, 0.0, 0.0, 0.0]))
+    rest, m = slash(m * _PAIR_AT_REST), m[..., None]
     ei, ef, ks = slash(e_i), slash(e_f), slash(k)
     commutator = _matmul(ei, ef) - _matmul(ef, ei)
     reversed_commutator = -commutator
     # Multiplied left to right, as the trace reads.
-    chain = (rest - mass * IDENTITY, commutator, ks, rest + mass * IDENTITY, ks, reversed_commutator)
+    chain = (rest - m * IDENTITY, commutator, ks, rest + m * IDENTITY, ks, reversed_commutator)
     trace = _trace(functools.reduce(_matmul, chain))
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
@@ -309,6 +318,7 @@ def transverse_polarization_basis(k: VectorLike) -> tuple[FourVector, FourVector
 
 
 _PHOTON_Z = np.array([1.0, 0.0, 0.0, 1.0])  # k along z for a unit mass
+_PAIR_AT_REST = np.array([1.0, 0.0, 0.0, 0.0])  # p_+ = p_- for a unit mass
 
 # The transverse basis of a photon along +z, and its four (initial, final) pairs in pair order.
 # Both hold at every energy w whose square neither over- nor underflows, since then
@@ -329,10 +339,11 @@ def polarization_sums(
     Batched with (..., 4) momenta and (..., 2, 4) bases."""
     k = _components(k_i)
     _require_lightlike(k)
+    default = transverse_polarization_basis(k) if initial_basis is None or final_basis is None else None
     bases = []
     for label, basis in (("initial", initial_basis), ("final", final_basis)):
         if basis is None:
-            basis = transverse_polarization_basis(k)
+            basis = default
         elif not isinstance(basis, np.ndarray):
             basis = np.array([_components(eps) for eps in basis]).reshape(-1, 4)
         if basis.shape[-2] != 2:
@@ -392,11 +403,11 @@ def phase_space_width_study(
 
 
 def cross_section_coefficient(
-    spin_average_mode: str = "singlet_only", mass: float = 1.0, photon_energy: float | None = None
-) -> float:
+    spin_average_mode: str = "singlet_only", mass: Floats = 1.0, photon_energy: Floats | None = None
+) -> Floats:
     """Dimensionless sigma * |v_rel| * m^2 / (pi alpha^2), assembled from the
     brute-force matrix element, the polarization sums, and the phase-space
-    integral.
+    integral: a float, or an array for arrays of masses or photon energies.
 
     ``all_four`` averages over all four fermion spin states; ``singlet_only``
     keeps the one spin state that can reach a single photon (charge
@@ -413,13 +424,15 @@ def cross_section_coefficient(
         )
     if photon_energy is None:
         photon_energy = mass
-    k = np.array([photon_energy, 0.0, 0.0, photon_energy])
-    # The four basis pairs in one call, summed in pair order.
-    element_sum = float(sum(squared_matrix_element(*_PHOTON_Z_PAIRS, k, mass)))
+    k = np.multiply.outer(photon_energy, _PHOTON_Z)
+    # All four basis pairs of every mass in one call; the pair axis leads, so sum() adds in pair order.
+    pairs = _PHOTON_Z_PAIRS.reshape(2, 4, *[1] * max(np.ndim(mass), np.ndim(photon_energy)), 4)
+    element_sum = sum(squared_matrix_element(*pairs, k, mass))
     # 1/2 averages the initial polarization; the leftover photon-coupling and
     # wavenumber-measure factors reduce to 4/pi against the pi alpha^2 / m^2
     # normalization of the quoted cross section.
-    return spin_factor * 0.5 * element_sum * 4.0 * phase_space_integral("analytic") * mass**2 / math.pi
+    factor = spin_factor * 0.5 * element_sum * 4.0 * phase_space_integral("analytic")
+    return _float_or_array(factor * np.float_power(mass, 2) / math.pi)
 
 
 def wavefunction_at_origin(mass: float, alpha: float) -> float:
@@ -430,24 +443,28 @@ def wavefunction_at_origin(mass: float, alpha: float) -> float:
     return (alpha * mass / 2.0) ** 3 / math.pi
 
 
-def decay_rate(species: LeptonSpecies, constants: ConstantsSet) -> AnnihilationResult:
-    """Single-photon decay rate of the photon-excited pair, end to end.
+def decay_rate(
+    species: LeptonSpecies | tuple[LeptonSpecies, ...], constants: ConstantsSet
+) -> AnnihilationResult | tuple[AnnihilationResult, ...]:
+    """Single-photon decay rate of the photon-excited pair, end to end: one
+    result for one species, a tuple of results in the same order for a tuple
+    of species, whose engine work runs as one batched pass.
 
     The relative-velocity flux divides the cross section and multiplies the
     collision rate, so it is cancelled algebraically before any number is
     evaluated; the result equals alpha^5 * m in natural units.
     """
-    mass_natural = constants.to_natural(species.mass, "mass")
-    coefficient = cross_section_coefficient("singlet_only", mass=mass_natural)
-    sigma_times_velocity = coefficient * math.pi * constants.alpha**2 / mass_natural**2
-    gamma_natural = sigma_times_velocity * wavefunction_at_origin(mass_natural, constants.alpha)
-    rate_si = constants.from_natural(gamma_natural, "rate")
-    return AnnihilationResult(
-        species=species.name,
-        sigma_coefficient=coefficient,
-        gamma=gamma_natural,
-        lifetime=1.0 / rate_si,
-    )
+    batch = isinstance(species, tuple)
+    group = species if batch else (species,)
+    masses = [constants.to_natural(entry.mass, "mass") for entry in group]
+    coefficients = cross_section_coefficient("singlet_only", mass=np.array(masses) if batch else masses[0])
+    results = []
+    for entry, mass, coefficient in zip(group, masses, coefficients.tolist() if batch else [coefficients]):
+        sigma_times_velocity = coefficient * math.pi * constants.alpha**2 / mass**2
+        gamma_natural = sigma_times_velocity * wavefunction_at_origin(mass, constants.alpha)
+        rate_si = constants.from_natural(gamma_natural, "rate")
+        results.append(AnnihilationResult(entry.name, coefficient, gamma_natural, lifetime=1.0 / rate_si))
+    return tuple(results) if batch else results[0]
 
 
 def two_photon_rate_natural(decay: AnnihilationResult) -> float:

@@ -94,13 +94,14 @@ def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSe
     ) ** 3
 
 
-def _species_contribution(species: LeptonSpecies, constants: ConstantsSet) -> SpeciesContribution:
+def _species_contribution(
+    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+) -> SpeciesContribution:
     """One species' permittivity contribution: effective density times the
-    dipole response per unit field, from one decay-rate evaluation."""
+    dipole response per unit field, from its held ``decay_rate`` result."""
     dipole_per_field = oscillator.species_dipole(
         species, constants, oscillator.PhotonField(1.0, species.charge_magnitude)
     )
-    decay = dirac.decay_rate(species, constants)
     n_vf = effective_density(species, constants, decay)
     return SpeciesContribution(species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay)
 
@@ -113,7 +114,9 @@ def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
 def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     """Assemble the permittivity report: per-species pipeline contributions,
     totals, closed forms, and deviations from the accepted values."""
-    per_species = [_species_contribution(species, constants) for species in constants.leptons()]
+    leptons = constants.leptons()
+    decays = dirac.decay_rate(leptons, constants)  # one batched pass for all three
+    per_species = [_species_contribution(s, constants, d) for s, d in zip(leptons, decays)]
     contributions = [entry.contribution for entry in per_species]
     # The one guard: c_calculated needs it. Mass cancellation and the alpha-vs-mu0
     # agreement are the report rows per-species-equality and alpha-vs-mu0-closed-form.

@@ -262,6 +262,33 @@ def test_subcommand_bytes_are_pinned(command, fmt, expected_code, expected_sha):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_sha
 
 
+# SHA-256 of the stdout of `decay NAME --format json` with one lepton mass (kg) overridden,
+# spread over LEPTON_MASS_DOMAIN; each run exits 0.
+DECAY_OVERRIDE_BYTES = [
+    ("electron", "1e-80", "612730b438e574ed62a57013755f4a7f0a1bf8d8c462994450b4eafd42bb4919"),
+    ("muon", "3.1e-72", "0eb1058bf0096ca099fbd0b18a2a30041471e3a87340db95550437de6514a46e"),
+    ("tau", "4.7e-63", "c4a59e83624de4bae1158b5ff441cbca6cc26be2f0876b11903fbaa38397a799"),
+    ("electron", "5.9e-54", "3928b764a98ce82be8bb90ffa4ebb500d021ee03a9116f1bba7a13680cf419b7"),
+    ("muon", "6.1e-45", "1fba14926ec304645c028396af396abd11c6db1e8ec7f17a133ba388f32fbf9a"),
+    ("tau", "3.9e-36", "6c687c10f60771eef010512c78095e5368e9a3289fa4a14ed24005be4e7d5c4c"),
+    ("electron", "9.1e-31", "2ae743802c671e07edc2ff6741a94e1df97d7c68c13453f058f609c3fda2057f"),
+    ("muon", "2.2e-27", "fd78ef28994cb679b2c51465d3f46edafce8d767acf93ee3ad90b19bdacf3d2f"),
+    ("tau", "8.8e-18", "bbc69c517f35f5760a284945ce0d9f2825d82eb540a08b45bfaebf49b39957a2"),
+    ("electron", "1.3e-09", "121e19e2d8f7e10a4de7dc676c8215741d212ecc6ef7ac4c54f2686f9b4df2e3"),
+    ("muon", "4.4", "26632d19a00e56c06e4a7ffa9d17c0fb02f263e204424cc6a4eea61050dd02c5"),
+    ("tau", "1e+20", "d57c81a2cca5f6fd74b012206fc218f20e18c4341a479d6d761e027d8ff563b7"),
+]
+
+
+@pytest.mark.parametrize("name, mass, expected_sha", DECAY_OVERRIDE_BYTES)
+def test_decay_bytes_with_a_mass_override_are_pinned(tmp_path, name, mass, expected_sha):
+    override = tmp_path / "constants.txt"
+    override.write_text(f"m_{name} = {mass}\n")
+    code, out, err = invoke(["decay", name, "--format", "json", "--constants", str(override)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_sha
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_pipe_exits_one_without_traceback(unbuffered):
     """As ``vfvacuum decay muon | head -0``: the reader is gone before the CLI

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vfvacuum import dirac
-from vfvacuum.constants import LEPTON_MASS_DOMAIN
+from vfvacuum.constants import LEPTON_MASS_DOMAIN, load_constants
 from vfvacuum.dirac import (
     GAMMA,
     IDENTITY,
@@ -395,6 +395,36 @@ def test_nan_photon_momentum_is_not_lightlike():
         polarization_sums(np.array([1.0, math.nan, 0.0, 1.0]))
 
 
+def test_nan_polarization_is_rejected():
+    nan_eps = np.array([0.0, math.nan, 0.0, 0.0])
+    e2 = dirac._PHOTON_Z_BASIS[1]
+    with pytest.raises(ValueError, match="initial polarization must be a spacelike unit vector"):
+        squared_matrix_element(nan_eps, e2, dirac._PHOTON_Z, 1.0)
+    with pytest.raises(ValueError, match="final polarization must be a spacelike unit vector"):
+        squared_matrix_element(e2, nan_eps, dirac._PHOTON_Z, 1.0)
+    with pytest.raises(ValueError, match="initial polarization must be a spacelike unit vector"):
+        polarization_sums(dirac._PHOTON_Z, initial_basis=np.stack([nan_eps, e2]))
+
+
+def test_nan_transverse_component_is_rejected():
+    """A unit spacelike vector whose overlap with k is NaN fails the transversality condition."""
+    k = np.array([1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="must be transverse"):
+        dirac._require_polarization(np.array([0.0, 1.0, 0.0, 0.0]), np.array([1.0, math.nan, 0.0, 1.0]), "eps")
+    dirac._require_polarization(np.array([0.0, 1.0, 0.0, 0.0]), k, "eps")
+
+
+def test_polarization_sums_build_the_default_basis_once(monkeypatch):
+    calls = []
+    original = dirac.transverse_polarization_basis
+    monkeypatch.setattr(dirac, "transverse_polarization_basis", lambda k: calls.append(k) or original(k))
+    momenta = np.array([[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
+    assert polarization_sums(momenta) == (4.0, pytest.approx([2.0, 2.0]))
+    assert len(calls) == 1
+    polarization_sums(momenta, initial_basis=original(momenta), final_basis=original(momenta))
+    assert len(calls) == 1
+
+
 def test_cross_section_keeps_its_value_at_the_mass_domain_edges(constants):
     for mass in LEPTON_MASS_DOMAIN:
         natural = constants.to_natural(mass, "mass")
@@ -545,6 +575,61 @@ def test_two_photon_rate_reads_a_held_decay(constants, electron, muon, monkeypat
     assert two_photon_rate_natural(held) == held.gamma / 2.0
 
 
+def log_uniform_masses(rng, count):
+    low, high = (math.log(mass) for mass in LEPTON_MASS_DOMAIN)
+    return np.exp(rng.uniform(low, high, size=count))
+
+
+def test_batched_decay_rate_equals_per_species_calls():
+    """Every field of every result, compared with ==: the batch rounds as the single path."""
+    rng = np.random.default_rng(2718)
+    masses = log_uniform_masses(rng, (200, 3))
+    for row in masses:
+        constants = load_constants(dict(zip(("m_electron", "m_muon", "m_tau"), row.tolist())))
+        leptons = constants.leptons()
+        assert decay_rate(leptons, constants) == tuple(decay_rate(s, constants) for s in leptons)
+
+
+def test_decay_rate_tuple_keeps_its_order(constants, electron, muon, tau):
+    results = decay_rate((tau, electron, muon, electron), constants)
+    assert [r.species for r in results] == ["tau", "electron", "muon", "electron"]
+    assert results == tuple(decay_rate(s, constants) for s in (tau, electron, muon, electron))
+    (single,) = decay_rate((muon,), constants)
+    assert single == decay_rate(muon, constants)
+    assert isinstance(decay_rate(muon, constants), dirac.AnnihilationResult)
+
+
+@pytest.mark.parametrize("mode", ["singlet_only", "all_four"])
+def test_cross_section_on_a_mass_array_equals_scalar_calls(constants, mode):
+    rng = np.random.default_rng(31)
+    masses = np.array([constants.to_natural(m, "mass") for m in log_uniform_masses(rng, 3000)])
+    batched = cross_section_coefficient(mode, mass=masses)
+    assert batched.shape == masses.shape
+    assert batched.tolist() == [cross_section_coefficient(mode, mass=m) for m in masses.tolist()]
+    grid = masses[:12].reshape(3, 4)
+    assert cross_section_coefficient(mode, mass=grid).tolist() == batched[:12].reshape(3, 4).tolist()
+    energies = masses[:4]  # as many as there are basis pairs, which must not be paired with them
+    expected = [cross_section_coefficient(mode, mass=masses[4], photon_energy=w) for w in energies.tolist()]
+    assert cross_section_coefficient(mode, mass=masses[4], photon_energy=energies).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_mass_array_with_a_non_positive_or_nan_mass_is_rejected(bad):
+    masses = np.array([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cross_section_coefficient(mass=masses)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        squared_matrix_element(*dirac._PHOTON_Z_PAIRS, dirac._PHOTON_Z, masses[:, None])
+
+
+def test_mass_array_names_the_element_out_of_range():
+    masses = np.array([1.0, 3.0, 1e-60, 1e80])
+    with pytest.raises(ValueError, match=re.escape("mass 1e-60 with photon energy 1e-60 is out of range")):
+        cross_section_coefficient(mass=masses)
+    with pytest.raises(ValueError, match=re.escape("mass 1e+80 with photon energy 2.0 is out of range")):
+        squared_matrix_element(*dirac._PHOTON_Z_BASIS, 2.0 * dirac._PHOTON_Z, masses[[0, 3]])
+
+
 def test_verification_suite_passes_and_is_deterministic():
     rows = verification_suite(trials=100, seed=7)
     assert all(row.status == "pass" for row in rows)
@@ -634,6 +719,57 @@ def test_constant_factor_product_equals_stacked_matmul(count):
             assert np.array_equal(dirac._matmul(constant, stack), constant @ stack)
             assert np.array_equal(dirac._matmul(stack, constant), stack @ constant)
     assert np.array_equal(dirac._matmul(stacks[0], stacks[1]), stacks[0] @ stacks[1])
+
+
+_SPECIAL_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-308, 1.0, -1.5, 1e308])
+
+
+def assert_same_bits(new, old):
+    """Equal values, NaN where NaN, and the same sign on every zero, in both complex parts."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    for part in (np.real, np.imag) if np.iscomplexobj(old) else (np.real,):
+        a, b = part(new), part(old)
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0]))
+
+
+def special_stack(rng, shape):
+    return rng.choice(_SPECIAL_VALUES, size=shape)
+
+
+def complex_stack(real, imag):
+    stack = real.astype(complex)
+    stack.imag = imag
+    return stack
+
+
+@pytest.mark.parametrize("shape", [(4,), (3000, 4), (7, 50, 4)])
+def test_dot_rounds_as_the_term_by_term_expression(shape):
+    rng = np.random.default_rng(len(shape))
+    for a, b in [(rng.normal(size=shape), rng.normal(size=shape)),
+                 (special_stack(rng, shape), special_stack(rng, shape)),
+                 (special_stack(rng, shape), rng.normal(size=shape[-1:]))]:
+        with np.errstate(invalid="ignore", over="ignore"):
+            old = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
+            assert_same_bits(dirac._dot(a, b), old)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3000, 4, 4), (6, 40, 4, 4)])
+def test_trace_rounds_as_np_trace(shape):
+    """On complex stacks whose matrix axes are innermost in memory, as every stack the
+    engine traces is (np.trace sums sequentially where the stack axis is innermost)."""
+    rng = np.random.default_rng(len(shape))
+    stacks = [
+        complex_stack(rng.normal(size=shape), rng.normal(size=shape)),
+        complex_stack(special_stack(rng, shape), special_stack(rng, shape)),
+        special_stack(rng, shape).astype(complex),
+        complex_stack(rng.choice([0.0, -0.0], size=shape), rng.choice([0.0, -0.0], size=shape)),
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacks += [stack.swapaxes(-1, -2) for stack in stacks]
+        for stack in stacks:
+            assert_same_bits(dirac._trace(stack), np.trace(stack, axis1=-2, axis2=-1))
 
 
 def test_bound_draw_calls_read_the_same_stream():

@@ -50,12 +50,16 @@ def count_calls(monkeypatch, calls, module, name):
 
 def test_build_report_evaluates_each_quantity_once(monkeypatch, constants):
     calls = collections.Counter()
-    count_calls(monkeypatch, calls, dirac, "decay_rate")
     count_calls(monkeypatch, calls, permittivity, "eps0_total")
     count_calls(monkeypatch, calls, vfmodel, "characterize")
     count_calls(monkeypatch, calls, oscillator, "species_dipole")
+    decay_arguments = []
+    original = dirac.decay_rate
+    monkeypatch.setattr(dirac, "decay_rate", lambda *args: decay_arguments.append(args) or original(*args))
     report.build_report(constants)
-    assert calls == {"decay_rate": 3, "eps0_total": 1, "characterize": 3, "species_dipole": 3}
+    # One batched decay pass serves all three leptons.
+    assert decay_arguments == [(constants.leptons(), constants)]
+    assert calls == {"eps0_total": 1, "characterize": 3, "species_dipole": 3}
 
 
 def test_photon_basis_and_pinned_file_are_located_once_per_process(monkeypatch):
