@@ -160,6 +160,11 @@ def parse_constants_text(text: str) -> dict[str, float]:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_pinned(text: str) -> tuple[tuple[str, float], ...]:
+    return tuple(parse_constants_text(text).items())
+
+
 def read_override_table(path) -> dict[str, float]:
     """Read a constants override file (same format as the pinned file)."""
     with open(path, encoding="utf-8") as handle:
@@ -172,7 +177,7 @@ def load_constants(overrides: Mapping[str, float] | None = None) -> ConstantsSet
     Raises ValueError for an unknown override name and ConsistencyError when
     the merged table violates a self-consistency requirement.
     """
-    table = parse_constants_text(pinned_constants_text())
+    table = dict(_parse_pinned(pinned_constants_text()))
     if overrides:
         for name, value in overrides.items():
             if name not in CONSTANT_NAMES:

@@ -71,9 +71,6 @@ class FourVector:
     def dot(self, other: "FourVector") -> float:
         return float(_dot(self.as_array(), other.as_array()))
 
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.t, self.x, self.y, self.z])
 

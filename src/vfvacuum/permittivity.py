@@ -142,6 +142,9 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
 
 
 def photon_number_density(laser: LaserSpec, constants: ConstantsSet) -> float:
-    """Photon number density of a beam: P*lambda/(h c^2 A) with A = pi r^2."""
-    area = math.pi * laser.beam_radius**2
-    return laser.power * laser.wavelength / (constants.h * constants.c_defined**2 * area)
+    """Beam photon density P*lambda/(h c^2 pi r^2); ValueError unless it is finite and positive."""
+    denominator = constants.h * constants.c_defined**2 * (math.pi * laser.beam_radius**2)
+    density = laser.power * laser.wavelength / denominator if denominator else math.inf
+    if not 0.0 < density < math.inf:
+        raise ValueError(f"the beam's photon number density {density!r} per m^3 is out of float range")
+    return density

@@ -6,6 +6,7 @@ inputs always produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Mapping, Sequence
@@ -24,6 +25,7 @@ _TAU_DENSITY_TARGET = 4.70e49
 _ELECTRON_VF_LIFETIME_TARGET = 3.2e-22
 _ELECTRON_DECAY_LIFETIME_TARGET = 6.2e-11
 _LASER_REFERENCE = permittivity.LaserSpec(power=6000.0, wavelength=10e-6, beam_radius=0.16e-3)
+_EVALUATION_CACHE_SIZE = 8  # distinct constants tables whose evaluation one process keeps
 
 
 def _relative_to(value: float, target: float) -> float:
@@ -156,7 +158,7 @@ def decay_to_dict(result: dirac.AnnihilationResult) -> dict:
     }
 
 
-def checks_to_dicts(rows: list[CheckRow]) -> list[dict]:
+def checks_to_dicts(rows: Sequence[CheckRow]) -> list[dict]:
     return [
         {
             "name": row.name,
@@ -171,18 +173,26 @@ def checks_to_dicts(rows: list[CheckRow]) -> list[dict]:
 def build_report(
     constants: ConstantsSet, overrides: Mapping[str, float] | None = None
 ) -> dict:
-    """Full report document with stable field order. Every pipeline quantity
-    is evaluated once and read by the tables and the checks alike."""
-    vf_records = [vfmodel.characterize(s, constants) for s in constants.leptons()]
-    perm = permittivity.eps0_total(constants)
+    """Full report document with stable field order, built fresh on every call
+    from the one evaluation of ``constants`` that its tables and checks read."""
+    perm, vf_records, checks = _evaluate(constants)
     return {
         "constants_digest": constants_digest(),
         "overrides": {name: overrides[name] for name in sorted(overrides)} if overrides else {},
         "permittivity": permittivity_to_dict(perm),
         "vf_table": [vf_to_dict(record) for record in vf_records],
         "decay_table": [decay_to_dict(entry.decay) for entry in perm.per_species],
-        "checks": checks_to_dicts(report_checks(constants, perm, vf_records)),
+        "checks": checks_to_dicts(checks),
     }
+
+
+@functools.lru_cache(maxsize=_EVALUATION_CACHE_SIZE)
+def _evaluate(constants: ConstantsSet) -> tuple[permittivity.PermittivityReport, tuple, tuple]:
+    """Frozen (report, pair records, check rows) of a table. Equal audited tables are bit-identical
+    (all fields positive finite floats), so the memo changes no output; a raise is not kept."""
+    vf_records = tuple(vfmodel.characterize(s, constants) for s in constants.leptons())
+    perm = permittivity.eps0_total(constants)
+    return perm, vf_records, tuple(report_checks(constants, perm, vf_records))
 
 
 def to_json(document: dict) -> str:

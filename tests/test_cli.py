@@ -134,6 +134,36 @@ def test_laser_rejects_nonfinite(flag, value):
     assert len(err.strip().splitlines()) == 1
 
 
+# Finite positive beams whose photon density is no finite positive float:
+# pi r^2 underflows to 0, P*lambda overflows, P*lambda underflows.
+LASER_OUT_OF_RANGE = [
+    ["--power", "1", "--wavelength", "1e-6", "--radius", "1e-170"],
+    ["--power", "1e300", "--wavelength", "1e300", "--radius", "1"],
+    ["--power", "1e-300", "--wavelength", "1e-300", "--radius", "1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("flags", LASER_OUT_OF_RANGE)
+def test_laser_density_outside_float_range_is_input_error(flags, fmt):
+    code, out, err = invoke(["laser", *flags, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "photon number density" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_laser_beam_area_underflow_exits_two_without_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "vfvacuum.cli", "laser", *LASER_OUT_OF_RANGE[0]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error:") and "Traceback" not in child.stderr
+    assert len(child.stderr.strip().splitlines()) == 1
+
+
 def test_constants_file_with_repeated_name_is_rejected(tmp_path):
     override = tmp_path / "constants.txt"
     override.write_text("m_muon = 3.767063254e-28\n# doubled again\nm_muon = 7.5e-28\n")

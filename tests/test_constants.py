@@ -184,6 +184,20 @@ def test_digest_is_hashed_once_and_every_load_reads_the_table(monkeypatch):
     assert len(reads) == 3
 
 
+def test_pinned_text_is_parsed_once_per_distinct_text(monkeypatch):
+    parses = []
+    parse = constants_module.parse_constants_text
+    monkeypatch.setattr(constants_module, "parse_constants_text", lambda text: parses.append(text) or parse(text))
+    pinned = load_constants()
+    assert load_constants({"m_muon": 1e-28}).m_muon == 1e-28
+    assert load_constants() == pinned  # the override did not reach the memo
+    assert len(parses) == 1
+    text = pinned_constants_text() + "# one more comment\n"
+    monkeypatch.setattr(constants_module, "pinned_constants_text", lambda: text)
+    assert load_constants() == pinned
+    assert parses == [pinned_constants_text(), text]
+
+
 def test_names_case_sensitive():
     with pytest.raises(ValueError, match="Alpha"):
         load_constants({"Alpha": 7.3e-3})
