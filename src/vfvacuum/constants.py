@@ -208,15 +208,19 @@ def _check_invariants(c: ConstantsSet) -> None:
                 f"m_{name} = {mass!r} kg is outside the lepton mass domain [{low!r}, {high!r}] kg"
             )
 
-    if _rel_err(c.hbar, c.h / (2.0 * math.pi)) > 1e-15:
-        raise ConsistencyError("hbar != h/(2*pi) at machine precision")
-
-    alpha_from_charge = c.e_charge**2 / (4.0 * math.pi * c.eps0_accepted * c.hbar * c.c_defined)
     # eps0 is stored independently and audited against the defining relation,
     # never derived silently; the headline comparison must not be circular.
     # 5e-10 keeps alpha^2, which the pair formulas read in both forms, within 1e-9.
-    if _rel_err(alpha_from_charge, c.alpha) > 5e-10:
-        raise ConsistencyError("alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10")
-
-    if abs(c.mu0 * c.eps0_accepted * c.c_defined**2 - 1.0) > 1e-6:
-        raise ConsistencyError("mu0*eps0*c^2 != 1 within 1e-6")
+    relations = (
+        (lambda: _rel_err(c.hbar, c.h / (2.0 * math.pi)), 1e-15, "hbar != h/(2*pi) at machine precision"),
+        (lambda: _rel_err(c.e_charge**2 / (4.0 * math.pi * c.eps0_accepted * c.hbar * c.c_defined), c.alpha),
+         5e-10, "alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10"),
+        (lambda: abs(c.mu0 * c.eps0_accepted * c.c_defined**2 - 1.0), 1e-6, "mu0*eps0*c^2 != 1 within 1e-6"),
+    )
+    for deviation, tolerance, message in relations:
+        try:
+            holds = deviation() <= tolerance  # a NaN deviation fails too
+        except (ZeroDivisionError, OverflowError):  # not evaluable in floats: violated
+            holds = False
+        if not holds:
+            raise ConsistencyError(message)

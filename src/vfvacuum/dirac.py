@@ -82,9 +82,6 @@ Floats = float | np.ndarray  # one value, or a stack of them
 @dataclass(frozen=True)
 class DiracSpinor:
     components: np.ndarray  # 4 complex entries, or (..., 4) for (..., 4) momenta
-    kind: str  # "u" | "v"
-    momentum: VectorLike
-    spin: str  # "+" | "-"
 
     def bar(self) -> np.ndarray:
         """Adjoint row spinor psi^dagger gamma^0."""
@@ -174,7 +171,7 @@ def spinor(kind: str, momentum: VectorLike, spin: str, mass: float | np.ndarray)
     small = np.tensordot(p, _SIGMA, axes=1)[..., column] / (energy + mass)[..., None]
     norm = np.sqrt((energy + mass) / (2.0 * mass))[..., None]
     components = norm * np.concatenate([chi, small] if kind == "u" else [small, chi], axis=-1)
-    return DiracSpinor(components=components, kind=kind, momentum=momentum, spin=spin)
+    return DiracSpinor(components)
 
 
 def spin_sum(kind: str, momentum: VectorLike, mass: float | np.ndarray) -> np.ndarray:
@@ -443,25 +440,24 @@ def wavefunction_at_origin(mass: float, alpha: float) -> float:
 def decay_rate(
     species: LeptonSpecies | tuple[LeptonSpecies, ...], constants: ConstantsSet
 ) -> AnnihilationResult | tuple[AnnihilationResult, ...]:
-    """Single-photon decay rate of the photon-excited pair, end to end: one
-    result for one species, a tuple of results in the same order for a tuple
-    of species, whose engine work runs as one batched pass.
+    """Single-photon decay rate of the photon-excited pair, end to end: a tuple
+    of results in the same order for a tuple of species, whose engine work runs
+    as one batched pass, or one result for one species, run as a batch of one.
 
     The relative-velocity flux divides the cross section and multiplies the
     collision rate, so it is cancelled algebraically before any number is
     evaluated; the result equals alpha^5 * m in natural units.
     """
-    batch = isinstance(species, tuple)
-    group = species if batch else (species,)
+    group = species if isinstance(species, tuple) else (species,)
     masses = [constants.to_natural(entry.mass, "mass") for entry in group]
-    coefficients = cross_section_coefficient("singlet_only", mass=np.array(masses) if batch else masses[0])
+    coefficients = cross_section_coefficient("singlet_only", mass=np.array(masses)).tolist()
     results = []
-    for entry, mass, coefficient in zip(group, masses, coefficients.tolist() if batch else [coefficients]):
+    for entry, mass, coefficient in zip(group, masses, coefficients):
         sigma_times_velocity = coefficient * math.pi * constants.alpha**2 / mass**2
         gamma_natural = sigma_times_velocity * wavefunction_at_origin(mass, constants.alpha)
         rate_si = constants.from_natural(gamma_natural, "rate")
         results.append(AnnihilationResult(entry.name, coefficient, gamma_natural, lifetime=1.0 / rate_si))
-    return tuple(results) if batch else results[0]
+    return tuple(results) if isinstance(species, tuple) else results[0]
 
 
 def two_photon_rate_natural(decay: AnnihilationResult) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ConstantsSet, LeptonSpecies
-from .vfmodel import resonant_frequency
+from .vfmodel import VfCharacterization, resonant_frequency
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,9 @@ def oscillator_for_species(
     )
 
 
-def species_dipole(
-    species: LeptonSpecies, constants: ConstantsSet, photon: PhotonField
-) -> float:
-    """Dipole of a polarized pair of the given species; the coupling charge is
-    the species charge."""
-    spec = oscillator_for_species(species, constants)
-    effective = PhotonField(photon.e_field_at_interaction, species.charge_magnitude)
+def species_dipole(pair: VfCharacterization, constants: ConstantsSet, photon: PhotonField) -> float:
+    """Dipole of a polarized pair from its record (reduced mass and omega0); the
+    coupling charge is the species charge."""
+    spec = OscillatorSpec(reduced_mass=pair.species.reduced_mass, omega0=pair.omega0)
+    effective = PhotonField(photon.e_field_at_interaction, pair.species.charge_magnitude)
     return dipole_expectation(spec, effective, constants)

@@ -29,6 +29,7 @@ class SpeciesContribution:
     dipole_per_field: float  # C*m^2/V
     contribution: float  # C/(V*m)
     decay: dirac.AnnihilationResult  # the pipeline decay that sets n_vf
+    pair: vfmodel.VfCharacterization  # the pair record that sets n_vf and the dipole
 
 
 @dataclass(frozen=True)
@@ -61,30 +62,28 @@ def annihilation_rate_closed_form(species: LeptonSpecies, constants: ConstantsSe
 
 
 def interaction_probability_linearized(
-    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
-    """Rate-lifetime product Gamma * dt of ``decay`` (a ``decay_rate`` result),
-    the small exponent of the interaction probability; algebraically alpha^5/4."""
-    return constants.from_natural(decay.gamma, "rate") * vfmodel.vf_lifetime(species, constants)
+    """Rate-lifetime product Gamma * dt of a pair record and its ``decay`` (a ``decay_rate``
+    result), the small exponent of the interaction probability; algebraically alpha^5/4."""
+    return constants.from_natural(decay.gamma, "rate") * pair.lifetime
 
 
 def interaction_probability(
-    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
     """Probability that a pair interacts with a photon during its lifetime,
     1 - exp(-Gamma*dt)."""
     # expm1 keeps the ~5e-12 exponent from drowning in the 1-ulp of 1.0.
-    return -math.expm1(-interaction_probability_linearized(species, constants, decay))
+    return -math.expm1(-interaction_probability_linearized(pair, constants, decay))
 
 
 def effective_density(
-    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
     """Density of pairs that actually interact: number density times the
     linearized interaction probability."""
-    return vfmodel.number_density(species, constants) * interaction_probability_linearized(
-        species, constants, decay
-    )
+    return pair.number_density * interaction_probability_linearized(pair, constants, decay)
 
 
 def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -95,15 +94,16 @@ def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSe
 
 
 def _species_contribution(
-    species: LeptonSpecies, constants: ConstantsSet, decay: dirac.AnnihilationResult
+    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> SpeciesContribution:
     """One species' permittivity contribution: effective density times the
-    dipole response per unit field, from its held ``decay_rate`` result."""
-    dipole_per_field = oscillator.species_dipole(
-        species, constants, oscillator.PhotonField(1.0, species.charge_magnitude)
+    dipole response per unit field, from its pair record and held ``decay_rate`` result."""
+    charge = pair.species.charge_magnitude
+    dipole_per_field = oscillator.species_dipole(pair, constants, oscillator.PhotonField(1.0, charge))
+    n_vf = effective_density(pair, constants, decay)
+    return SpeciesContribution(
+        pair.species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay, pair
     )
-    n_vf = effective_density(species, constants, decay)
-    return SpeciesContribution(species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay)
 
 
 def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
@@ -116,7 +116,8 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     totals, closed forms, and deviations from the accepted values."""
     leptons = constants.leptons()
     decays = dirac.decay_rate(leptons, constants)  # one batched pass for all three
-    per_species = [_species_contribution(s, constants, d) for s, d in zip(leptons, decays)]
+    pairs = [vfmodel.characterize(s, constants) for s in leptons]  # one record per lepton
+    per_species = [_species_contribution(p, constants, d) for p, d in zip(pairs, decays)]
     contributions = [entry.contribution for entry in per_species]
     # The one guard: c_calculated needs it. Mass cancellation and the alpha-vs-mu0
     # agreement are the report rows per-species-equality and alpha-vs-mu0-closed-form.
@@ -143,7 +144,10 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
 
 def photon_number_density(laser: LaserSpec, constants: ConstantsSet) -> float:
     """Beam photon density P*lambda/(h c^2 pi r^2); ValueError unless it is finite and positive."""
-    denominator = constants.h * constants.c_defined**2 * (math.pi * laser.beam_radius**2)
+    try:
+        denominator = constants.h * constants.c_defined**2 * (math.pi * laser.beam_radius**2)
+    except OverflowError:  # a square beyond float range: the density underflows
+        denominator = math.inf
     density = laser.power * laser.wavelength / denominator if denominator else math.inf
     if not 0.0 < density < math.inf:
         raise ValueError(f"the beam's photon number density {density!r} per m^3 is out of float range")

@@ -53,15 +53,13 @@ def laser_checks(laser_density: float, electron_density: float) -> list[CheckRow
 
 
 def report_checks(
-    constants: ConstantsSet,
-    report: permittivity.PermittivityReport,
-    vf_records: Sequence[vfmodel.VfCharacterization],
+    constants: ConstantsSet, report: permittivity.PermittivityReport
 ) -> list[CheckRow]:
     """Deterministic (no-RNG) self-checks backing the report's exit code, read
     from the one evaluation of ``build_report``: no pipeline quantity is recomputed."""
-    electron_vf, _, tau_vf = vf_records  # both in constants.leptons() order
-    electron, decay = electron_vf.species, report.per_species[0].decay
-    closed_rate = permittivity.annihilation_rate_closed_form(electron, constants)
+    electron, _, tau = report.per_species  # in constants.leptons() order
+    electron_vf, tau_vf, decay = electron.pair, tau.pair, electron.decay
+    closed_rate = permittivity.annihilation_rate_closed_form(electron_vf.species, constants)
     two_photon = dirac.two_photon_rate_natural(decay)
     laser_density = permittivity.photon_number_density(_LASER_REFERENCE, constants)
 
@@ -175,24 +173,23 @@ def build_report(
 ) -> dict:
     """Full report document with stable field order, built fresh on every call
     from the one evaluation of ``constants`` that its tables and checks read."""
-    perm, vf_records, checks = _evaluate(constants)
+    perm, checks = _evaluate(constants)
     return {
         "constants_digest": constants_digest(),
         "overrides": {name: overrides[name] for name in sorted(overrides)} if overrides else {},
         "permittivity": permittivity_to_dict(perm),
-        "vf_table": [vf_to_dict(record) for record in vf_records],
+        "vf_table": [vf_to_dict(entry.pair) for entry in perm.per_species],
         "decay_table": [decay_to_dict(entry.decay) for entry in perm.per_species],
         "checks": checks_to_dicts(checks),
     }
 
 
 @functools.lru_cache(maxsize=_EVALUATION_CACHE_SIZE)
-def _evaluate(constants: ConstantsSet) -> tuple[permittivity.PermittivityReport, tuple, tuple]:
-    """Frozen (report, pair records, check rows) of a table. Equal audited tables are bit-identical
-    (all fields positive finite floats), so the memo changes no output; a raise is not kept."""
-    vf_records = tuple(vfmodel.characterize(s, constants) for s in constants.leptons())
+def _evaluate(constants: ConstantsSet) -> tuple[permittivity.PermittivityReport, tuple[CheckRow, ...]]:
+    """Frozen (report, check rows) of a table. Equal audited tables are bit-identical (all
+    fields positive finite floats), so the memo changes no output; a raise is not kept."""
     perm = permittivity.eps0_total(constants)
-    return perm, vf_records, tuple(report_checks(constants, perm, vf_records))
+    return perm, tuple(report_checks(constants, perm))
 
 
 def to_json(document: dict) -> str:

@@ -135,11 +135,12 @@ def test_laser_rejects_nonfinite(flag, value):
 
 
 # Finite positive beams whose photon density is no finite positive float:
-# pi r^2 underflows to 0, P*lambda overflows, P*lambda underflows.
+# pi r^2 underflows to 0, P*lambda overflows, P*lambda underflows, r**2 overflows.
 LASER_OUT_OF_RANGE = [
     ["--power", "1", "--wavelength", "1e-6", "--radius", "1e-170"],
     ["--power", "1e300", "--wavelength", "1e300", "--radius", "1"],
     ["--power", "1e-300", "--wavelength", "1e-300", "--radius", "1"],
+    ["--power", "1", "--wavelength", "1e-6", "--radius", "1e160"],
 ]
 
 
@@ -152,13 +153,17 @@ def test_laser_density_outside_float_range_is_input_error(flags, fmt):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_laser_beam_area_underflow_exits_two_without_traceback():
+def run_fresh(argv):
+    """Run the CLI in a new interpreter: an uncaught error there prints a traceback."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-m", "vfvacuum.cli", "laser", *LASER_OUT_OF_RANGE[0]],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "vfvacuum.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_laser_beam_area_underflow_exits_two_without_traceback():
+    child = run_fresh(["laser", *LASER_OUT_OF_RANGE[0]])
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("error:") and "Traceback" not in child.stderr
     assert len(child.stderr.strip().splitlines()) == 1
@@ -199,9 +204,9 @@ def test_unequal_species_contributions_fail_a_check(monkeypatch):
     skewed muon fails it with exit 1, not an input error."""
     dipole = oscillator.species_dipole
 
-    def skewed(species, constants, field):
-        value = dipole(species, constants, field)
-        return value * (1.0 + 1e-8) if species.name == "muon" else value
+    def skewed(pair, constants, field):
+        value = dipole(pair, constants, field)
+        return value * (1.0 + 1e-8) if pair.species.name == "muon" else value
 
     monkeypatch.setattr(oscillator, "species_dipole", skewed)
     code, out, err = invoke(["report"])
@@ -256,6 +261,39 @@ def test_alpha_beyond_tolerance_rejected_by_every_subcommand(tmp_path, command, 
     code, out, err = invoke([*command.split(), "--constants", str(override)])
     assert (code, out) == (2, "")
     assert err == "error: bad constants: alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10\n"
+
+
+# Positive finite overrides that the constants audit cannot evaluate in floats, and the
+# relation each violates.
+UNEVALUABLE_OVERRIDES = [
+    ("h = 5e-324", "hbar != h/(2*pi) at machine precision"),
+    ("eps0_accepted = 1e-320", "alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10"),
+    ("c_defined = 1e-300", "alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10"),
+    ("e_charge = 1e300", "alpha != e^2/(4*pi*eps0*hbar*c) within 5e-10"),
+]
+
+
+@pytest.mark.parametrize("command", ALL_SUBCOMMANDS)
+@pytest.mark.parametrize("line, relation", UNEVALUABLE_OVERRIDES, ids=lambda value: value.split()[0])
+def test_unevaluable_override_rejected_by_every_subcommand(tmp_path, command, line, relation):
+    override = tmp_path / "constants.txt"
+    override.write_text(line + "\n")
+    code, out, err = invoke([*command.split(), "--constants", str(override)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad constants: {relation}\n"
+
+
+@pytest.mark.parametrize("line", [line for line, _ in UNEVALUABLE_OVERRIDES] + [None])
+def test_unevaluable_input_exits_two_without_traceback_in_a_fresh_process(tmp_path, line):
+    if line is None:
+        argv = ["laser", *LASER_OUT_OF_RANGE[3]]
+    else:
+        (tmp_path / "constants.txt").write_text(line + "\n")
+        argv = ["report", "--constants", str(tmp_path / "constants.txt")]
+    child = run_fresh(argv)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error:") and "Traceback" not in child.stderr
+    assert len(child.stderr.strip().splitlines()) == 1
 
 
 # SHA-256 of stdout and the exit code of each subcommand other than `report`

@@ -69,6 +69,15 @@ def test_alpha_beyond_tolerance_rejected(constants, factor):
         load_constants({"alpha": constants.alpha * factor})
 
 
+def test_relation_evaluating_to_nan_is_violated(constants):
+    """mu0*eps0 overflows to inf and c**2 underflows to 0, so mu0*eps0*c**2 is NaN;
+    the other relations hold. A NaN deviation is not within any tolerance."""
+    scaled = {"c_defined": 1e-200, "eps0_accepted": 1e200, "mu0": 1e200}
+    charge = math.sqrt(constants.alpha * 4.0 * math.pi * 1e200 * constants.hbar * 1e-200)
+    with pytest.raises(ConsistencyError, match=re.escape("mu0*eps0*c^2 != 1 within 1e-6")):
+        load_constants({**scaled, "e_charge": charge})
+
+
 def test_unknown_override_name_rejected():
     with pytest.raises(ValueError, match="not_a_constant"):
         load_constants({"not_a_constant": 1.0})

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from vfvacuum import oscillator
 from vfvacuum.oscillator import OscillatorSpec, PhotonField
+from vfvacuum.vfmodel import characterize
 
 
 @pytest.fixture()
@@ -188,7 +189,7 @@ def test_ground_state_uncertainty_product(constants, electron_spec):
 
 def test_species_dipole_zero_field(constants, electron):
     photon = PhotonField(0.0, constants.e_charge)
-    assert oscillator.species_dipole(electron, constants, photon) == 0.0
+    assert oscillator.species_dipole(characterize(electron, constants), constants, photon) == 0.0
 
 
 def test_species_dipole_electron_value(constants, electron, unit_photon):
@@ -196,7 +197,7 @@ def test_species_dipole_electron_value(constants, electron, unit_photon):
 
     omega = resonant_frequency(electron, constants)
     expected = (constants.e_charge**2 / electron.reduced_mass) / omega**2
-    value = oscillator.species_dipole(electron, constants, unit_photon)
+    value = oscillator.species_dipole(characterize(electron, constants), constants, unit_photon)
     assert value == pytest.approx(expected, rel=1e-12)
     spec = oscillator.oscillator_for_species(electron, constants)
     assert value == pytest.approx(
@@ -205,7 +206,7 @@ def test_species_dipole_electron_value(constants, electron, unit_photon):
 
 
 def test_species_dipole_mass_cubed_ratio(constants, electron, muon, unit_photon):
-    ratio = oscillator.species_dipole(muon, constants, unit_photon) / oscillator.species_dipole(
-        electron, constants, unit_photon
-    )
+    ratio = oscillator.species_dipole(
+        characterize(muon, constants), constants, unit_photon
+    ) / oscillator.species_dipole(characterize(electron, constants), constants, unit_photon)
     assert ratio == pytest.approx((electron.mass / muon.mass) ** 3, rel=1e-9)

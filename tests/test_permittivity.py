@@ -24,15 +24,17 @@ def report_entry(species, constants):
 
 def test_rate_lifetime_product_is_alpha_fifth_over_four(constants, electron):
     decay = dirac.decay_rate(electron, constants)
-    product = interaction_probability_linearized(electron, constants, decay)
+    pair = vfmodel.characterize(electron, constants)
+    product = interaction_probability_linearized(pair, constants, decay)
     assert product == pytest.approx(constants.alpha**5 / 4.0, rel=1e-12)
 
 
 def test_probability_bounds_and_linearization(constants):
     for species in constants.leptons():
         decay = dirac.decay_rate(species, constants)
-        exact = interaction_probability(species, constants, decay)
-        linear = interaction_probability_linearized(species, constants, decay)
+        pair = vfmodel.characterize(species, constants)
+        exact = interaction_probability(pair, constants, decay)
+        linear = interaction_probability_linearized(pair, constants, decay)
         assert 0.0 < exact < 1.0
         # difference is the quadratic term of the exponential, ~(Gamma dt)^2/2
         assert abs(exact - linear) < 1e-20
@@ -40,23 +42,29 @@ def test_probability_bounds_and_linearization(constants):
 
 
 def test_effective_density_electron(constants, electron):
-    value = effective_density(electron, constants, dirac.decay_rate(electron, constants))
+    value = effective_density(
+        vfmodel.characterize(electron, constants), constants, dirac.decay_rate(electron, constants)
+    )
     assert value == pytest.approx(5.8e27, rel=2e-2)
     assert value == pytest.approx(effective_density_closed_form(electron, constants), rel=1e-12)
 
 
 def test_effective_density_is_density_times_probability(constants, electron):
-    decay = dirac.decay_rate(electron, constants)
-    assert effective_density(electron, constants, decay) == pytest.approx(
+    decay, pair = dirac.decay_rate(electron, constants), vfmodel.characterize(electron, constants)
+    assert effective_density(pair, constants, decay) == pytest.approx(
         vfmodel.number_density(electron, constants)
-        * interaction_probability_linearized(electron, constants, decay),
+        * interaction_probability_linearized(pair, constants, decay),
         rel=1e-12,
     )
 
 
 def test_effective_density_mass_cubed_scaling(constants, electron, muon):
-    electron_density = effective_density(electron, constants, dirac.decay_rate(electron, constants))
-    muon_density = effective_density(muon, constants, dirac.decay_rate(muon, constants))
+    electron_density = effective_density(
+        vfmodel.characterize(electron, constants), constants, dirac.decay_rate(electron, constants)
+    )
+    muon_density = effective_density(
+        vfmodel.characterize(muon, constants), constants, dirac.decay_rate(muon, constants)
+    )
     ratio = muon_density / electron_density
     assert ratio == pytest.approx((muon.mass / electron.mass) ** 3, rel=1e-9)
 
@@ -154,7 +162,10 @@ def test_eps0_total_carries_one_decay_per_species(constants):
     report = eps0_total(constants)
     for entry, species in zip(report.per_species, constants.leptons()):
         assert entry.decay == dirac.decay_rate(species, constants)
-        assert entry.n_vf == effective_density(species, constants, dirac.decay_rate(species, constants))
+        assert entry.n_vf == effective_density(
+            vfmodel.characterize(species, constants), constants, dirac.decay_rate(species, constants)
+        )
+        assert entry.pair == vfmodel.characterize(species, constants)
         assert entry.contribution == report_entry(species, constants).contribution
 
 

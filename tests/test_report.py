@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from vfvacuum import cli, dirac, oscillator, permittivity, report, vfmodel
 from vfvacuum import constants as constants_module
-from vfvacuum.constants import LEPTON_MASS_DOMAIN, ConsistencyError, load_constants
+from vfvacuum.constants import LEPTON_MASS_DOMAIN, ConsistencyError, ConstantsSet, load_constants
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 # Rows that compare a lepton-mass-dependent quantity with its value at the
@@ -63,6 +63,21 @@ def test_build_report_evaluates_each_quantity_once(monkeypatch, constants):
     # One batched decay pass serves all three leptons.
     assert decay_arguments == [(constants.leptons(), constants)]
     assert calls == {"eps0_total": 1, "characterize": 3, "species_dipole": 3}
+
+
+def test_build_report_derives_each_pair_record_once(monkeypatch):
+    """One record per lepton feeds the contribution, the pair table and the checks:
+    no per-pair quantity is derived a second time along another chain."""
+    constants = load_constants({"m_muon": 2.5e-28})
+    calls = collections.Counter()
+    for module, name in ((vfmodel, "characterize"), (vfmodel, "vf_lifetime"),
+                         (vfmodel, "number_density"), (vfmodel, "resonant_frequency"),
+                         (oscillator, "resonant_frequency"), (dirac, "decay_rate"),
+                         (ConstantsSet, "leptons")):
+        count_calls(monkeypatch, calls, module, name)
+    report.build_report(constants)
+    assert calls == {"characterize": 3, "vf_lifetime": 3, "number_density": 3,
+                     "resonant_frequency": 3, "leptons": 1, "decay_rate": 1}
 
 
 def test_photon_basis_and_pinned_file_are_located_once_per_process(monkeypatch):
