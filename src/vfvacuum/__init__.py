@@ -9,7 +9,7 @@ from .constants import (
     load_constants,
     read_override_table,
 )
-from .dirac import AnnihilationResult, FourVector, decay_rate
+from .dirac import AnnihilationResult, decay_rate
 from .oscillator import OscillatorSpec, PhotonField
 from .permittivity import LaserSpec, PermittivityReport, eps0_total, photon_number_density
 from .vfmodel import VfCharacterization, characterize
@@ -20,7 +20,6 @@ __all__ = [
     "AnnihilationResult",
     "ConsistencyError",
     "ConstantsSet",
-    "FourVector",
     "LaserSpec",
     "LeptonSpecies",
     "OscillatorSpec",

@@ -59,33 +59,7 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class FourVector:
-    """Contravariant four-vector, metric signature (+,-,-,-)."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def dot(self, other: "FourVector") -> float:
-        return float(_dot(self.as_array(), other.as_array()))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-
-VectorLike = FourVector | np.ndarray  # one FourVector, or (..., 4) components
 Floats = float | np.ndarray  # one value, or a stack of them
-
-
-@dataclass(frozen=True)
-class DiracSpinor:
-    components: np.ndarray  # 4 complex entries, or (..., 4) for (..., 4) momenta
-
-    def bar(self) -> np.ndarray:
-        """Adjoint row spinor psi^dagger gamma^0."""
-        return self.components.conj() @ GAMMA[0]
 
 
 @dataclass(frozen=True)
@@ -94,10 +68,6 @@ class AnnihilationResult:
     sigma_coefficient: float  # sigma * |v_rel| * m^2 / (pi alpha^2)
     gamma: float  # natural-unit rate (MeV)
     lifetime: float  # s
-
-
-def _components(v: VectorLike) -> np.ndarray:
-    return v.as_array() if isinstance(v, FourVector) else np.asarray(v, dtype=float)
 
 
 def _float_or_array(x: np.ndarray) -> float | np.ndarray:
@@ -133,10 +103,10 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def slash(a: VectorLike) -> np.ndarray:
+def slash(a: np.ndarray) -> np.ndarray:
     """Contraction a_mu gamma^mu with index lowering by the metric: a 4x4
-    matrix for one vector, a (..., 4, 4) stack for (..., 4) components."""
-    v = _components(a)
+    matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components."""
+    v = np.asarray(a, dtype=float)
     return (v @ _GAMMA_LOWERED.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
 
 
@@ -153,16 +123,16 @@ def kinematic_check(electron_energy: float, photon_energy: float) -> str:
     return "allowed" if constraint == 0.0 else "forbidden"
 
 
-def spinor(kind: str, momentum: VectorLike, spin: str, mass: float | np.ndarray) -> DiracSpinor:
-    """Free-particle spinor with box normalization ubar u = 1, vbar v = -1; a
-    stack of spinors for (..., 4) momenta with broadcastable masses."""
+def spinor(kind: str, momentum: np.ndarray, spin: str, mass: float | np.ndarray) -> np.ndarray:
+    """Free-particle spinor components with box normalization ubar u = 1, vbar v = -1:
+    (..., 4) complex for (..., 4) momenta with broadcastable masses."""
     if kind not in ("u", "v"):
         raise ValueError(f"spinor kind must be 'u' or 'v', got {kind!r}")
     if spin not in ("+", "-"):
         raise ValueError(f"spin label must be '+' or '-', got {spin!r}")
     if not np.all(mass > 0.0):
         raise ValueError("mass must be positive")
-    four_momentum = _components(momentum)
+    four_momentum = np.asarray(momentum, dtype=float)
     energy, p = four_momentum[..., 0], four_momentum[..., 1:]
     if np.any(np.abs(energy - np.sqrt(mass**2 + _inner(p, p))) >= 1e-9 * mass):
         raise ValueError("momentum is off shell for the given mass")
@@ -170,15 +140,14 @@ def spinor(kind: str, momentum: VectorLike, spin: str, mass: float | np.ndarray)
     chi = np.broadcast_to(np.eye(2, dtype=complex)[column], p.shape[:-1] + (2,))
     small = np.tensordot(p, _SIGMA, axes=1)[..., column] / (energy + mass)[..., None]
     norm = np.sqrt((energy + mass) / (2.0 * mass))[..., None]
-    components = norm * np.concatenate([chi, small] if kind == "u" else [small, chi], axis=-1)
-    return DiracSpinor(components)
+    return norm * np.concatenate([chi, small] if kind == "u" else [small, chi], axis=-1)
 
 
-def spin_sum(kind: str, momentum: VectorLike, mass: float | np.ndarray) -> np.ndarray:
+def spin_sum(kind: str, momentum: np.ndarray, mass: float | np.ndarray) -> np.ndarray:
     """Outer-product sum over both spins, equal to (pslash +- m)/(2m); a
     (..., 4, 4) stack for (..., 4) momenta with broadcastable masses."""
     psis = [spinor(kind, momentum, s, mass) for s in ("+", "-")]
-    return sum(psi.components[..., :, None] * psi.bar()[..., None, :] for psi in psis)
+    return sum(psi[..., :, None] * (psi.conj() @ GAMMA[0])[..., None, :] for psi in psis)
 
 
 def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
@@ -253,21 +222,21 @@ def _require_polarization(eps: np.ndarray, k: np.ndarray, label: str) -> None:
 
 
 def squared_matrix_element(
-    epsilon_i: VectorLike, epsilon_f: VectorLike, k_i: VectorLike, mass: Floats
+    epsilon_i: np.ndarray, epsilon_f: np.ndarray, k_i: np.ndarray, mass: Floats
 ) -> Floats:
     """Spin-summed reduced squared amplitude by brute-force matrix products.
 
     No symbolic simplification: the commutator structure, the photon slash,
     and the (pslash +- m) projectors are multiplied out entrywise and traced.
-    FourVectors and a float mass give a float; (..., 4) component arrays and
-    an array of masses, all broadcasting against each other's leading axes,
-    give an array. A mass and photon energy for which 16 m^4 w^2 is not a
+    (4,) vectors and a float mass give a float; (..., 4) arrays and an array
+    of masses, all broadcasting against each other's leading axes, give an
+    array. A mass and photon energy for which 16 m^4 w^2 is not a
     normal float raise ValueError.
     """
     m = np.asarray(mass)[..., None]
     if not (m > 0.0).all():  # NaN fails too
         raise ValueError("mass must be positive")
-    e_i, e_f, k = _components(epsilon_i), _components(epsilon_f), _components(k_i)
+    e_i, e_f, k = (np.asarray(v, dtype=float) for v in (epsilon_i, epsilon_f, k_i))
     _require_lightlike(k)
     denominator = _normal_denominator(mass, k[..., 0])
     _require_polarization(e_i, k, "initial polarization")
@@ -286,28 +255,24 @@ def squared_matrix_element(
     return _float_or_array(trace.real / denominator)
 
 
-def closed_form_matrix_element(
-    epsilon_i: VectorLike, epsilon_f: VectorLike, mass: float
-) -> float | np.ndarray:
+def closed_form_matrix_element(epsilon_i: np.ndarray, epsilon_f: np.ndarray, mass: float) -> Floats:
     """Closed form of the reduced squared amplitude, (2/m^2)(1 - (ei.ef)^2)."""
-    overlap = _dot(_components(epsilon_i), _components(epsilon_f))
+    overlap = _dot(np.asarray(epsilon_i, dtype=float), np.asarray(epsilon_f, dtype=float))
     return _float_or_array((2.0 / mass**2) * (1.0 - overlap**2))
 
 
-def transverse_polarization_basis(k: VectorLike) -> tuple[FourVector, FourVector] | np.ndarray:
-    """Two orthonormal spacelike polarization vectors transverse to k: a pair
-    of FourVectors for a FourVector, a (..., 2, 4) array for (..., 4) momenta."""
-    k_array = _components(k)
-    _require_lightlike(k_array)
-    k3 = k_array[..., 1:]
+def transverse_polarization_basis(k: np.ndarray) -> np.ndarray:
+    """Two orthonormal spacelike polarization vectors transverse to k, as a
+    (..., 2, 4) array for (..., 4) momenta."""
+    k = np.asarray(k, dtype=float)
+    _require_lightlike(k)
+    k3 = k[..., 1:]
     khat = k3 / np.sqrt(_inner(k3, k3))[..., None]
     trial = np.eye(3)[np.argmin(np.abs(khat), axis=-1)]
     e1 = trial - _inner(trial, khat)[..., None] * khat
     e1 = e1 / np.sqrt(_inner(e1, e1))[..., None]
     (a1, a2, a3), (b1, b2, b3) = np.moveaxis(khat, -1, 0), np.moveaxis(e1, -1, 0)
     e2 = np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)  # khat x e1
-    if isinstance(k, FourVector):
-        return FourVector(0.0, *e1), FourVector(0.0, *e2)
     return np.concatenate([np.zeros(e1.shape[:-1] + (2, 1)), np.stack([e1, e2], axis=-2)], axis=-1)
 
 
@@ -324,22 +289,17 @@ _PHOTON_Z_PAIRS.flags.writeable = False
 
 
 def polarization_sums(
-    k_i: VectorLike,
-    initial_basis: Sequence[FourVector] | np.ndarray | None = None,
-    final_basis: Sequence[FourVector] | np.ndarray | None = None,
-) -> tuple[float, float | np.ndarray]:
+    k_i: np.ndarray, initial_basis: np.ndarray | None = None, final_basis: np.ndarray | None = None
+) -> tuple[float, Floats]:
     """Sums over initial/final polarization pairs for a final photon with the
     same momentum as the initial one: sum of 1 and sum of (eps_i . eps_f)^2.
     Batched with (..., 4) momenta and (..., 2, 4) bases."""
-    k = _components(k_i)
+    k = np.asarray(k_i, dtype=float)
     _require_lightlike(k)
     default = transverse_polarization_basis(k) if initial_basis is None or final_basis is None else None
     bases = []
     for label, basis in (("initial", initial_basis), ("final", final_basis)):
-        if basis is None:
-            basis = default
-        elif not isinstance(basis, np.ndarray):
-            basis = np.array([_components(eps) for eps in basis]).reshape(-1, 4)
+        basis = default if basis is None else np.asarray(basis, dtype=float)
         if basis.shape[-2] != 2:
             raise ValueError(f"{label} polarization basis must contain two vectors")
         _require_polarization(basis, k[..., None, :], f"{label} polarization")
@@ -488,9 +448,9 @@ def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray,
     for kind, sign in (("u", 1.0), ("v", -1.0)):
         for spin_label in ("+", "-"):
             psi = spinor(kind, momentum, spin_label, mass)
-            residual = ((pslash - sign * m * IDENTITY) @ psi.components[..., None])[..., 0]
+            residual = ((pslash - sign * m * IDENTITY) @ psi[..., None])[..., 0]
             dirac.append(np.max(np.abs(residual), axis=-1) / mass)
-            norm.append(np.abs(_inner(psi.bar(), psi.components) - sign))
+            norm.append(np.abs(_inner(psi.conj() @ GAMMA[0], psi) - sign))
         deviation = spin_sum(kind, momentum, mass) - (pslash + sign * m * IDENTITY) / (2.0 * m)
         projector.append(np.max(np.abs(deviation), axis=(1, 2)))
     return np.max(dirac, axis=0), np.max(norm, axis=0), np.max(projector, axis=0)

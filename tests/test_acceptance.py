@@ -15,7 +15,6 @@ import pytest
 from vfvacuum import dirac, oscillator, permittivity, vfmodel
 from vfvacuum.cli import run
 from vfvacuum.constants import load_constants
-from vfvacuum.dirac import FourVector
 
 
 def judge(name, ok, detail):
@@ -102,7 +101,7 @@ def test_06_polarization_and_phase_space():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         energy = 10.0 ** rng.uniform(-2, 2)
-        k = FourVector(energy, *(energy * direction))
+        k = np.concatenate([[energy], energy * direction])
         sum_one, sum_dot = dirac.polarization_sums(k)
         worst = max(worst, abs(sum_one - 4.0), abs(sum_dot - 2.0))
     analytic = dirac.phase_space_integral("analytic")
