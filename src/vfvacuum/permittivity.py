@@ -126,7 +126,10 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
 
     eps0_calculated = sum(contributions)
     alpha_form = 3.0 * eps0_contribution_closed_form(constants)
-    mu0_form = (6.0 * constants.mu0 / math.pi) * (8.0 * constants.e_charge**2 / constants.hbar) ** 2
+    try:
+        mu0_form = (6.0 * constants.mu0 / math.pi) * (8.0 * constants.e_charge**2 / constants.hbar) ** 2
+    except OverflowError:
+        raise ValueError("the mu0 closed form of eps0 is out of float range") from None
 
     c_calculated = 1.0 / math.sqrt(constants.mu0 * eps0_calculated)
     return PermittivityReport(

@@ -25,10 +25,14 @@ class VfCharacterization:
 
 
 def binding_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Ground-state binding energy of the pair, Coulomb form (J, negative)."""
+    """Ground-state binding energy of the pair, Coulomb form (J, negative); ValueError
+    where a power over- or the denominator underflows."""
     mu = species.reduced_mass
     e = species.charge_magnitude
-    return -mu * e**4 / (2.0 * (4.0 * math.pi * constants.eps0_accepted) ** 2 * constants.hbar**2)
+    try:
+        return -mu * e**4 / (2.0 * (4.0 * math.pi * constants.eps0_accepted) ** 2 * constants.hbar**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the {species.name} pair's binding energy is out of float range") from None
 
 
 def binding_energy_alpha_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -74,5 +78,5 @@ def characterize(species: LeptonSpecies, constants: ConstantsSet) -> VfCharacter
         lifetime=vf_lifetime(species, constants),
         length=length,
         volume=length**3,
-        number_density=number_density(species, constants),
+        number_density=1.0 / length**3,
     )

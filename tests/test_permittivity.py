@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -133,6 +134,25 @@ def test_eps0_total_rejects_nonfinite_contributions(constants, monkeypatch, dipo
     monkeypatch.setattr(oscillator, "species_dipole", lambda *args: dipole)
     with pytest.raises(ConsistencyError):
         eps0_total(constants)
+
+
+def test_eps0_total_mu0_form_out_of_float_range_is_a_value_error(constants):
+    """The audited table with the units of mass, length, time and charge scaled by 1e-40,
+    1e-80, 1e-80 and 1e20: (8 e^2/hbar)^2 overflows."""
+    mass, length, time, charge = 1e-40, 1e-80, 1e-80, 1e20
+    action, energy = mass * length**2 / time, mass * length**2 / time**2
+    scaled = dataclasses.replace(
+        constants,
+        h=constants.h * action,
+        hbar=constants.hbar * action,
+        e_charge=constants.e_charge * charge,
+        mu0=constants.mu0 * mass * length / charge**2,
+        eps0_accepted=constants.eps0_accepted * charge**2 * time**2 / (mass * length**3),
+        electronvolt=constants.electronvolt * energy,
+        **{f"m_{s.name}": s.mass * mass for s in constants.leptons()},
+    )
+    with pytest.raises(ValueError, match="^the mu0 closed form of eps0 is out of float range$"):
+        eps0_total(scaled)
 
 
 def test_closed_form_rate_cross_check(constants, electron):

@@ -6,8 +6,16 @@ float edges (``5e-324``, ``1e-320``, ``1e300``, ``inf``, ``nan``) and malformed
 strings: ``cli.run`` never raises, exits 0, 1 or 2, prints nothing on stdout
 on exit 2, and prints strict JSON in ``--format json`` otherwise. The mass
 properties draw each lepton mass log-uniformly from ``LEPTON_MASS_DOMAIN``.
+
+The unit-rescaling properties change the units of mass, length, time and
+charge by factors lambda_M, lambda_L, lambda_T, lambda_Q and map every constant
+by its dimension. Within 10^+-6 the pipeline is covariant: each output scales
+by its dimension, the deviations stay put and every unit-invariant row passes.
+Within 10^+-45, where the masses stay in ``LEPTON_MASS_DOMAIN``, ``cli.run``
+keeps the boundary properties above on every rescaled table.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vfvacuum import cli
+from vfvacuum import cli, report
 from vfvacuum.constants import CONSTANT_NAMES, LEPTON_MASS_DOMAIN, LEPTON_NAMES, load_constants
 from vfvacuum.permittivity import (
     annihilation_rate_closed_form,
@@ -137,3 +145,114 @@ def test_pipeline_agrees_with_closed_forms_over_the_mass_domain(lepton_masses):
         pipeline_rate = constants.from_natural(entry.decay.gamma, "rate")
         assert _relative_to(pipeline_rate, annihilation_rate_closed_form(species, constants)) <= 1e-9
         assert _relative_to(entry.contribution, closed_contribution) <= 1e-9
+
+
+# Exponents of (mass, length, time, charge) in the dimension of each constant.
+DIMENSIONS = {
+    "c_defined": (0, 1, -1, 0),
+    "h": (1, 2, -1, 0),
+    "hbar": (1, 2, -1, 0),
+    "e_charge": (0, 0, 0, 1),
+    "alpha": (0, 0, 0, 0),
+    "mu0": (1, 1, 0, -2),
+    "eps0_accepted": (-1, -3, 2, 2),
+    "electronvolt": (1, 2, -2, 0),
+    **{f"m_{name}": (1, 0, 0, 0) for name in LEPTON_NAMES},
+}
+PERMITTIVITY, SPEED, TIME = DIMENSIONS["eps0_accepted"], DIMENSIONS["c_defined"], (0, 0, 1, 0)
+
+# Rows that compare two paths of a dimensionless quantity, or a deviation from an accepted
+# value read in the same units: no choice of units moves them.
+UNIT_INVARIANT_ROWS = (
+    "eps0-deviation-window",
+    "c-deviation-window",
+    "per-species-equality",
+    "pipeline-vs-closed-contribution",
+    "alpha-vs-mu0-closed-form",
+    "sigma-coefficient-singlet",
+    "decay-closed-form-agreement",
+    "two-photon-half-rate",
+    "permeability-identity",
+)
+# Rows that compare with a target quoted in SI, or with the reference beam fixed in SI:
+# a large enough change of units fails them by design.
+SI_ANCHORED_ROWS = (
+    "eps0-headline",
+    "c-headline",
+    "electron-vf-density",
+    "tau-vf-density",
+    "electron-vf-lifetime",
+    "electron-decay-lifetime",
+    "laser-density-window",
+    "laser-below-vf-density",
+)
+
+
+def _factor(scales, dimension):
+    return math.prod(scale**power for scale, power in zip(scales, dimension))
+
+
+def _rescaled_values(scales):
+    """Every constant of the pinned table in the units rescaled by (lambda_M, lambda_L, lambda_T, lambda_Q)."""
+    return {name: getattr(PINNED, name) * _factor(scales, dimension) for name, dimension in DIMENSIONS.items()}
+
+
+def test_dimensions_cover_every_constant():
+    assert tuple(DIMENSIONS) == CONSTANT_NAMES
+
+
+unit_scales = st.floats(-6.0, 6.0).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=100)
+@given(st.tuples(unit_scales, unit_scales, unit_scales, unit_scales))
+@example((1e-6, 1e6, 1e-6, 1e6))
+@example((1e6, 1e-6, 1e6, 1e-6))
+def test_pipeline_is_covariant_under_a_change_of_units(scales):
+    constants = dataclasses.replace(PINNED, **_rescaled_values(scales))
+    pinned, scaled = eps0_total(PINNED), eps0_total(constants)
+    assert _relative_to(scaled.eps0_calculated, pinned.eps0_calculated * _factor(scales, PERMITTIVITY)) <= 1e-12
+    assert _relative_to(scaled.c_calculated, pinned.c_calculated * _factor(scales, SPEED)) <= 1e-12
+    for entry, reference in zip(scaled.per_species, pinned.per_species):
+        assert _relative_to(entry.decay.lifetime, reference.decay.lifetime * _factor(scales, TIME)) <= 1e-12
+    assert _relative_to(scaled.deviation_percent, pinned.deviation_percent) <= 1e-12
+    assert _relative_to(scaled.c_deviation_percent, pinned.c_deviation_percent) <= 1e-12
+
+    status = {row["name"]: row["status"] for row in report.build_report(constants)["checks"]}
+    assert sorted(status) == sorted(UNIT_INVARIANT_ROWS + SI_ANCHORED_ROWS)
+    assert [name for name in UNIT_INVARIANT_ROWS if status[name] != "pass"] == []
+
+
+wide_exponents = st.floats(-45.0, 45.0)
+lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
+    lambda command: st.sampled_from([[command, name] for name in LEPTON_NAMES])
+)
+
+
+# The three tables that raised in vfmodel.binding_energy (charge unit x1e-60: its
+# denominator underflows; x1e100: e^4 overflows) and in the mu0 closed form of eps0.
+@settings(max_examples=100)
+@given(
+    st.tuples(wide_exponents, wide_exponents, wide_exponents, wide_exponents),
+    st.one_of(st.just(["report"]), lepton_argv, st.just(["constants"])),
+    st.sampled_from(["json", "text"]),
+)
+@example((0.0, 0.0, 0.0, -60.0), ["report"], "json")
+@example((0.0, 0.0, 0.0, -60.0), ["species", "muon"], "text")
+@example((0.0, 0.0, 0.0, 100.0), ["report"], "text")
+@example((0.0, 0.0, 0.0, 100.0), ["species", "muon"], "json")
+@example((-40.0, -80.0, -80.0, 20.0), ["report"], "json")
+def test_cli_survives_any_change_of_units(override_path, exponents, argv, output_format):
+    values = _rescaled_values([10.0**exponent for exponent in exponents])
+    override_path.write_text("".join(f"{name} = {value!r}\n" for name, value in values.items()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run([*argv, "--format", output_format, "--constants", str(override_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        if output_format == "json":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -71,12 +71,12 @@ def test_build_report_derives_each_pair_record_once(monkeypatch):
     constants = load_constants({"m_muon": 2.5e-28})
     calls = collections.Counter()
     for module, name in ((vfmodel, "characterize"), (vfmodel, "vf_lifetime"),
-                         (vfmodel, "number_density"), (vfmodel, "resonant_frequency"),
+                         (vfmodel, "vf_length"), (vfmodel, "resonant_frequency"),
                          (oscillator, "resonant_frequency"), (dirac, "decay_rate"),
                          (ConstantsSet, "leptons")):
         count_calls(monkeypatch, calls, module, name)
     report.build_report(constants)
-    assert calls == {"characterize": 3, "vf_lifetime": 3, "number_density": 3,
+    assert calls == {"characterize": 3, "vf_lifetime": 3, "vf_length": 3,
                      "resonant_frequency": 3, "leptons": 1, "decay_rate": 1}
 
 

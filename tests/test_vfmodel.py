@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,20 @@ def test_muon_binding_scales_with_mass(constants, electron, muon):
     assert vfmodel.binding_energy(muon, constants) / constants.electronvolt == pytest.approx(
         -1.41e3, rel=5e-3
     )
+
+
+@pytest.mark.parametrize("charge_unit", [1e-60, 1e100])
+def test_binding_energy_out_of_float_range_is_a_value_error(constants, charge_unit):
+    """The audited table in a charge unit 1e-60 (the denominator underflows) or 1e100
+    times the coulomb (e^4 overflows): a ValueError naming the quantity."""
+    scaled = dataclasses.replace(
+        constants,
+        e_charge=constants.e_charge * charge_unit,
+        mu0=constants.mu0 / charge_unit**2,
+        eps0_accepted=constants.eps0_accepted * charge_unit**2,
+    )
+    with pytest.raises(ValueError, match="^the muon pair's binding energy is out of float range$"):
+        vfmodel.binding_energy(scaled.lepton("muon"), scaled)
 
 
 def test_binding_energy_two_forms_agree(constants):
