@@ -113,7 +113,7 @@ def _document(args: argparse.Namespace, constants, overrides) -> dict:
 
     return {  # constants
         "values": {name: getattr(constants, name) for name in CONSTANT_NAMES},
-        "overrides": {k: overrides[k] for k in sorted(overrides)} if overrides else {},
+        "overrides": overrides,  # sorted by name
     }
 
 
@@ -137,15 +137,26 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: bad constants: {exc}", file=sys.stderr)
         return 2
+    fields = tuple(item for item in sorted(vars(args).items()) if item[0] != "constants")
     try:
         # A ConsistencyError is a ValueError: an input the evaluation rejects.
-        document = {"constants_digest": constants_digest(), **_document(args, constants, overrides)}
+        text, code = _output(fields, constants, tuple(sorted((overrides or {}).items())))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
-    print(report.to_json(document) if args.format == "json" else report.render_text(document))
-    return 0 if all(row["status"] == "pass" for row in document.get("checks", ())) else 1
+
+@functools.lru_cache(maxsize=8)
+def _output(fields: tuple, constants, override_items: tuple) -> tuple[str, int]:
+    """(stdout text, exit code) of one parsed command. Every field that reaches the output
+    is a positive finite float, a validated int or a choice string, so equal keys are
+    bit-identical inputs and the memo changes no output; a raise is not kept."""
+    args = argparse.Namespace(**dict(fields))
+    document = {"constants_digest": constants_digest(), **_document(args, constants, dict(override_items))}
+    text = report.to_json(document) if args.format == "json" else report.render_text(document)
+    return text, 0 if all(row["status"] == "pass" for row in document.get("checks", ())) else 1
 
 
 def main() -> None:

@@ -6,7 +6,6 @@ inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from typing import Mapping, Sequence
@@ -25,7 +24,6 @@ _TAU_DENSITY_TARGET = 4.70e49
 _ELECTRON_VF_LIFETIME_TARGET = 3.2e-22
 _ELECTRON_DECAY_LIFETIME_TARGET = 6.2e-11
 _LASER_REFERENCE = permittivity.LaserSpec(power=6000.0, wavelength=10e-6, beam_radius=0.16e-3)
-_EVALUATION_CACHE_SIZE = 8  # distinct constants tables whose evaluation one process keeps
 
 
 def _relative_to(value: float, target: float) -> float:
@@ -171,9 +169,10 @@ def checks_to_dicts(rows: Sequence[CheckRow]) -> list[dict]:
 def build_report(
     constants: ConstantsSet, overrides: Mapping[str, float] | None = None
 ) -> dict:
-    """Full report document with stable field order, built fresh on every call
-    from the one evaluation of ``constants`` that its tables and checks read."""
-    perm, checks = _evaluate(constants)
+    """Full report document with stable field order, built from one evaluation
+    of ``constants`` that its tables and checks read."""
+    perm = permittivity.eps0_total(constants)
+    checks = report_checks(constants, perm)
     return {
         "constants_digest": constants_digest(),
         "overrides": {name: overrides[name] for name in sorted(overrides)} if overrides else {},
@@ -182,14 +181,6 @@ def build_report(
         "decay_table": [decay_to_dict(entry.decay) for entry in perm.per_species],
         "checks": checks_to_dicts(checks),
     }
-
-
-@functools.lru_cache(maxsize=_EVALUATION_CACHE_SIZE)
-def _evaluate(constants: ConstantsSet) -> tuple[permittivity.PermittivityReport, tuple[CheckRow, ...]]:
-    """Frozen (report, check rows) of a table. Equal audited tables are bit-identical (all
-    fields positive finite floats), so the memo changes no output; a raise is not kept."""
-    perm = permittivity.eps0_total(constants)
-    return perm, tuple(report_checks(constants, perm))
 
 
 def to_json(document: dict) -> str:

@@ -7,6 +7,7 @@ Everything here is evaluated in SI; natural-unit views go through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import ConstantsSet, LeptonSpecies
@@ -25,14 +26,23 @@ class VfCharacterization:
 
 
 def binding_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Ground-state binding energy of the pair, Coulomb form (J, negative); ValueError
-    where a power over- or the denominator underflows."""
+    """Ground-state binding energy of the pair, Coulomb form (J, negative). Where the
+    direct form leaves the normal floats, mu/2 (e^2/(4 pi eps0 hbar))^2 keeps its
+    intermediates in range; ValueError where that is no normal float either."""
     mu = species.reduced_mass
     e = species.charge_magnitude
-    try:
-        return -mu * e**4 / (2.0 * (4.0 * math.pi * constants.eps0_accepted) ** 2 * constants.hbar**2)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"the {species.name} pair's binding energy is out of float range") from None
+    forms = (
+        lambda: -mu * e**4 / (2.0 * (4.0 * math.pi * constants.eps0_accepted) ** 2 * constants.hbar**2),
+        lambda: -mu / 2.0 * (e**2 / (4.0 * math.pi * constants.eps0_accepted * constants.hbar)) ** 2,
+    )
+    for form in forms:
+        try:
+            value = form()
+        except (OverflowError, ZeroDivisionError):
+            continue
+        if sys.float_info.min <= -value < math.inf:
+            return value
+    raise ValueError(f"the {species.name} pair's binding energy is out of float range")
 
 
 def binding_energy_alpha_form(species: LeptonSpecies, constants: ConstantsSet) -> float:

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import settings
 
+from vfvacuum import cli
 from vfvacuum import constants as constants_module
-from vfvacuum import report
 from vfvacuum.constants import load_constants
 
 # The same few examples on every run, with no wall-clock deadline and no
@@ -17,8 +17,8 @@ settings.load_profile("repeatable")
 @pytest.fixture(autouse=True)
 def clear_memos():
     """Start each test with empty memos: a test that patches a pipeline
-    function must see it run, not an evaluation kept from an earlier test."""
-    report._evaluate.cache_clear()
+    function must see it run, not an output kept from an earlier test."""
+    cli._output.cache_clear()
     constants_module._parse_pinned.cache_clear()
 
 

@@ -229,8 +229,10 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 )
 
 
-# The three tables that raised in vfmodel.binding_energy (charge unit x1e-60: its
-# denominator underflows; x1e100: e^4 overflows) and in the mu0 closed form of eps0.
+# Tables at the edges of float range: the charge unit x1e-60 and x1e100 (the direct
+# Coulomb form of vfmodel.binding_energy leaves the floats there: its denominator
+# underflows, its e^4 overflows), masses x1e-20 and times x1e140 (every binding energy
+# is subnormal), and the table that overflows the mu0 closed form of eps0.
 @settings(max_examples=100)
 @given(
     st.tuples(wide_exponents, wide_exponents, wide_exponents, wide_exponents),
@@ -241,6 +243,8 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 @example((0.0, 0.0, 0.0, -60.0), ["species", "muon"], "text")
 @example((0.0, 0.0, 0.0, 100.0), ["report"], "text")
 @example((0.0, 0.0, 0.0, 100.0), ["species", "muon"], "json")
+@example((-20.0, 0.0, 140.0, 0.0), ["report"], "json")
+@example((-20.0, 0.0, 140.0, 0.0), ["species", "tau"], "text")
 @example((-40.0, -80.0, -80.0, 20.0), ["report"], "json")
 def test_cli_survives_any_change_of_units(override_path, exponents, argv, output_format):
     values = _rescaled_values([10.0**exponent for exponent in exponents])

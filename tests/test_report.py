@@ -1,6 +1,7 @@
-"""Guards of the once-per-report evaluation: the pinned report's bytes stay
+"""Guards of the report and the output memo: the pinned report's bytes stay
 those recorded in bench/golden.json, one report evaluates each pipeline
-quantity once, and an equal table reuses that evaluation without changing a byte."""
+quantity once, and a repeated command reuses its printed output without
+changing a byte."""
 
 import collections
 import hashlib
@@ -12,12 +13,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vfvacuum import cli, dirac, oscillator, permittivity, report, vfmodel
 from vfvacuum import constants as constants_module
-from vfvacuum.constants import LEPTON_MASS_DOMAIN, ConsistencyError, ConstantsSet, load_constants
+from vfvacuum.constants import LEPTON_MASS_DOMAIN, LEPTON_NAMES, ConstantsSet, load_constants
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 # Rows that compare a lepton-mass-dependent quantity with its value at the
@@ -121,38 +122,78 @@ def test_invariant_rows_pass_at_the_mass_domain_edges(name, mass):
     assert {row["name"] for row in rows if row["status"] != "pass"} <= MASS_TARGET_ROWS
 
 
-def test_an_equal_table_reuses_the_evaluation_in_a_fresh_document(monkeypatch):
-    first = report.build_report(load_constants())
+# One argv of each subcommand; a test adds "--format" and, where it needs one, "--constants".
+SUBCOMMAND_ARGVS = [
+    ["report"],
+    ["species", "muon"],
+    ["decay", "tau"],
+    ["trace-check", "--trials", "2", "--seed", "1"],
+    ["laser", "--power", "6000", "--wavelength", "1e-05", "--radius", "0.00016"],
+    ["constants"],
+]
+# The functions that build and render an output; a memo hit runs none of them.
+PRINTING_FUNCTIONS = [
+    (report, "build_report"),
+    (report, "to_json"),
+    (report, "render_text"),
+    (permittivity, "eps0_total"),
+    (permittivity, "photon_number_density"),
+    (vfmodel, "characterize"),
+    (dirac, "decay_rate"),
+    (dirac, "verification_suite"),
+]
+
+
+def test_build_report_evaluates_on_every_call(monkeypatch, constants):
     calls = collections.Counter()
     count_calls(monkeypatch, calls, permittivity, "eps0_total")
-    count_calls(monkeypatch, calls, dirac, "decay_rate")
-    second = report.build_report(load_constants())
-    assert calls == {}
+    first, second = report.build_report(constants), report.build_report(constants)
+    assert calls == {"eps0_total": 2}
     assert second == first and second is not first
-    first["checks"][0]["status"] = "fail"
-    first["permittivity"]["per_species"].clear()
-    first["vf_table"][0]["species"] = "muon"
-    first["overrides"]["m_muon"] = 1e-28
-    assert report.build_report(load_constants()) == second
-    assert second["checks"][0]["status"] == "pass" and len(second["permittivity"]["per_species"]) == 3
 
 
-def test_an_evaluation_that_raises_raises_on_every_call(monkeypatch, constants):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_a_repeated_command_reuses_its_output(monkeypatch, tmp_path, argv, fmt):
+    override = tmp_path / "constants.txt"
+    override.write_text("m_muon = 2.5e-28\n")
+    for flags in ([], ["--constants", str(override)]):
+        full = [*argv, "--format", fmt, *flags]
+        first = _run(full)
+        calls = collections.Counter()
+        with monkeypatch.context() as patch:
+            for module, name in PRINTING_FUNCTIONS:
+                count_calls(patch, calls, module, name)
+            count_calls(patch, calls, cli, "load_constants")
+            assert _run(full) == first
+        # The table is still read and audited; nothing is evaluated or rendered again.
+        assert calls == {"load_constants": 1}, full
+
+
+def test_an_evaluation_that_raises_raises_on_every_call(monkeypatch):
     calls = collections.Counter()
     monkeypatch.setattr(oscillator, "species_dipole", lambda *args: math.nan)
     count_calls(monkeypatch, calls, permittivity, "eps0_total")
     for _ in range(3):
-        with pytest.raises(ConsistencyError, match="positive"):
-            report.build_report(constants)
+        code, out, err = _run(["report"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "positive" in err
     assert calls == {"eps0_total": 3}
-    assert report._evaluate.cache_info().currsize == 0
+    assert cli._output.cache_info().currsize == 0
 
 
-def test_the_evaluation_memo_is_bounded():
-    bound = report._EVALUATION_CACHE_SIZE
-    for m_muon in (1e-28 * (1.0 + k / 64.0) for k in range(3 * bound)):
-        report.build_report(load_constants({"m_muon": m_muon}))
-    assert report._evaluate.cache_info().currsize <= bound
+def test_the_output_memo_is_bounded():
+    bound = cli._output.cache_info().maxsize
+    assert bound == 8
+    for k in range(3 * bound):
+        argv = SUBCOMMAND_ARGVS[k % len(SUBCOMMAND_ARGVS)]
+        _run([*argv, "--format", ("json", "text")[k // len(SUBCOMMAND_ARGVS) % 2]])
+        assert cli._output.cache_info().currsize <= bound
+    assert cli._output.cache_info().currsize == bound
+
+
+_PINNED = load_constants()
+PINNED_MASSES = (_PINNED.m_electron, _PINNED.m_muon, _PINNED.m_tau)
 
 
 def _log_uniform_mass(draw) -> float:
@@ -161,45 +202,57 @@ def _log_uniform_mass(draw) -> float:
 
 
 @st.composite
-def report_sequences(draw):
+def command_sequences(draw):
     """Tables (None for the pinned file, else the three lepton masses of an
-    override file) and a sequence of (table index, format) picks, repeats
-    allowed: the pinned table, an override equal to it, log-uniform masses."""
-    pinned = load_constants()
-    tables = [None, (pinned.m_electron, pinned.m_muon, pinned.m_tau)]
+    override file), commands of every subcommand, and a sequence of (table index,
+    command index, format order) picks, repeats allowed: the pinned table, an
+    override equal to it, log-uniform masses. Each pick runs in both formats."""
+    tables = [None, PINNED_MASSES]
     tables += [tuple(_log_uniform_mass(draw) for _ in range(3))
-               for _ in range(draw(st.integers(0, report._EVALUATION_CACHE_SIZE + 4)))]
-    picks = st.tuples(st.integers(0, len(tables) - 1), st.sampled_from(["json", "text"]))
-    return tables, draw(st.lists(picks, min_size=1, max_size=3 * len(tables)))
+               for _ in range(draw(st.integers(0, cli._output.cache_info().maxsize + 4)))]
+    commands = SUBCOMMAND_ARGVS + [
+        ["species", draw(st.sampled_from(LEPTON_NAMES))],
+        ["decay", draw(st.sampled_from(LEPTON_NAMES))],
+        ["trace-check", "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 3)))],
+        ["laser", "--power", repr(draw(st.floats(1e-3, 1e6))), "--wavelength", "1e-06", "--radius", "0.001"],
+    ]
+    picks = st.tuples(st.integers(0, len(tables) - 1), st.integers(0, len(commands) - 1),
+                      st.permutations(["json", "text"]))
+    return tables, commands, draw(st.lists(picks, min_size=1, max_size=3 * len(tables) + len(commands)))
 
 
 def _clear_memos():
-    report._evaluate.cache_clear()
+    cli._output.cache_clear()
     constants_module._parse_pinned.cache_clear()
 
 
-def _run_report(argv):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.run(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-@given(report_sequences())
+@given(command_sequences())
+@example(([None, PINNED_MASSES], SUBCOMMAND_ARGVS,
+          [(table, command, ["json", "text"][::order]) for order in (1, -1) for table in (0, 1)
+           for command in range(len(SUBCOMMAND_ARGVS))]))
 def test_report_stdout_does_not_depend_on_the_memo(tmp_path_factory, sequence):
-    tables, picks = sequence
+    """Every subcommand, run in sequence with repeats, prints what it prints
+    after a memo clear (exit code, stdout and stderr)."""
+    tables, commands, picks = sequence
     directory = tmp_path_factory.mktemp("tables")
     names, flags = ("m_electron", "m_muon", "m_tau"), [[]]
     for index, masses in enumerate(tables[1:], start=1):
         path = directory / f"table-{index}.txt"
         path.write_text("".join(f"{name} = {mass!r}\n" for name, mass in zip(names, masses)))
         flags.append(["--constants", str(path)])
-    argvs = [["report", "--format", fmt, *flags[index]] for index, fmt in picks]
+    argvs = [[*commands[command], "--format", fmt, *flags[table]]
+             for table, command, formats in picks for fmt in formats]
     expected = {}
     for argv in argvs:
         _clear_memos()
-        expected[tuple(argv)] = _run_report(argv)
+        expected[tuple(argv)] = _run(argv)
     _clear_memos()
     for argv in argvs:
-        assert _run_report(argv) == expected[tuple(argv)], argv
-
+        assert _run(argv) == expected[tuple(argv)], argv

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -23,17 +24,42 @@ def test_muon_binding_scales_with_mass(constants, electron, muon):
 
 
 @pytest.mark.parametrize("charge_unit", [1e-60, 1e100])
-def test_binding_energy_out_of_float_range_is_a_value_error(constants, charge_unit):
-    """The audited table in a charge unit 1e-60 (the denominator underflows) or 1e100
-    times the coulomb (e^4 overflows): a ValueError naming the quantity."""
+def test_binding_energy_in_a_rescaled_charge_unit_meets_the_alpha_form(constants, charge_unit):
+    """The audited table in a charge unit 1e-60 (the direct form's denominator underflows)
+    or 1e100 times the coulomb (its e^4 overflows): the binding energy is still a normal
+    float, and every lepton's meets the fine-structure form."""
     scaled = dataclasses.replace(
         constants,
         e_charge=constants.e_charge * charge_unit,
         mu0=constants.mu0 / charge_unit**2,
         eps0_accepted=constants.eps0_accepted * charge_unit**2,
     )
-    with pytest.raises(ValueError, match="^the muon pair's binding energy is out of float range$"):
-        vfmodel.binding_energy(scaled.lepton("muon"), scaled)
+    for species in scaled.leptons():
+        coulomb = vfmodel.binding_energy(species, scaled)
+        assert abs(coulomb / vfmodel.binding_energy_alpha_form(species, scaled) - 1.0) <= 1e-12
+
+
+def test_binding_energy_out_of_float_range_is_a_value_error(constants):
+    """The audited table with masses x1e-20 and times x1e140 (values of dimension
+    M^a T^b scale by 1e-20^a 1e140^b): every binding energy, m alpha^2 c^2 / 4, is
+    subnormal there, so no form gives a normal float and a ValueError names the pair."""
+    mass, time = 1e-20, 1e140
+    scaled = dataclasses.replace(
+        constants,
+        h=constants.h * mass / time,
+        hbar=constants.hbar * mass / time,
+        c_defined=constants.c_defined / time,
+        mu0=constants.mu0 * mass,
+        eps0_accepted=constants.eps0_accepted / mass * time**2,
+        electronvolt=constants.electronvolt * mass / time**2,
+        m_electron=constants.m_electron * mass,
+        m_muon=constants.m_muon * mass,
+        m_tau=constants.m_tau * mass,
+    )
+    for species in scaled.leptons():
+        assert 0.0 < -vfmodel.binding_energy_alpha_form(species, scaled) < sys.float_info.min
+        with pytest.raises(ValueError, match=f"^the {species.name} pair's binding energy is out of float range$"):
+            vfmodel.binding_energy(species, scaled)
 
 
 def test_binding_energy_two_forms_agree(constants):
