@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _document(args: argparse.Namespace, constants, overrides) -> dict:
     """The fields the subcommand prints after ``constants_digest``. Raises
-    ValueError for an input the subcommand cannot evaluate."""
+    ValueError for an input the subcommand cannot evaluate, and an
+    ArithmeticError where an audited table's evaluation leaves the floats."""
     if args.command == "report":
         return report.build_report(constants, overrides)
 
@@ -143,6 +144,9 @@ def run(argv: list[str] | None = None) -> int:
         text, code = _output(fields, constants, tuple(sorted((overrides or {}).items())))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # an audited table whose evaluation leaves the floats
+        print(f"error: the evaluation left float range: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(text)
     return code

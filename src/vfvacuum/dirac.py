@@ -110,19 +110,6 @@ def slash(a: np.ndarray) -> np.ndarray:
     return (v @ _GAMMA_LOWERED.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
 
 
-def kinematic_check(electron_energy: float, photon_energy: float) -> str:
-    """Single-photon annihilation kinematics for a pair at rest.
-
-    The squared conservation constraint reduces to E^2 + E*w = 0, which a
-    physical pair (E > 0) can never satisfy; only the transient-pair limit
-    E -> 0 opens the channel.
-    """
-    if electron_energy < 0.0 or photon_energy < 0.0:
-        raise ValueError("energies must be non-negative")
-    constraint = electron_energy**2 + electron_energy * photon_energy
-    return "allowed" if constraint == 0.0 else "forbidden"
-
-
 def spinor(kind: str, momentum: np.ndarray, spin: str, mass: float | np.ndarray) -> np.ndarray:
     """Free-particle spinor components with box normalization ubar u = 1, vbar v = -1:
     (..., 4) complex for (..., 4) momenta with broadcastable masses."""

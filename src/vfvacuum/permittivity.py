@@ -11,6 +11,7 @@ contributions carry no closed form and are reported as excluded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import dirac, oscillator, vfmodel
@@ -69,28 +70,12 @@ def interaction_probability_linearized(
     return constants.from_natural(decay.gamma, "rate") * pair.lifetime
 
 
-def interaction_probability(
-    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
-) -> float:
-    """Probability that a pair interacts with a photon during its lifetime,
-    1 - exp(-Gamma*dt)."""
-    # expm1 keeps the ~5e-12 exponent from drowning in the 1-ulp of 1.0.
-    return -math.expm1(-interaction_probability_linearized(pair, constants, decay))
-
-
 def effective_density(
     pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
 ) -> float:
     """Density of pairs that actually interact: number density times the
     linearized interaction probability."""
     return pair.number_density * interaction_probability_linearized(pair, constants, decay)
-
-
-def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Closed form (alpha^5/4) (4mc/hbar)^3 of the effective density."""
-    return (constants.alpha**5 / 4.0) * (
-        4.0 * species.mass * constants.c_defined / constants.hbar
-    ) ** 3
 
 
 def _species_contribution(
@@ -126,10 +111,12 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
 
     eps0_calculated = sum(contributions)
     alpha_form = 3.0 * eps0_contribution_closed_form(constants)
-    try:
-        mu0_form = (6.0 * constants.mu0 / math.pi) * (8.0 * constants.e_charge**2 / constants.hbar) ** 2
-    except OverflowError:
-        raise ValueError("the mu0 closed form of eps0 is out of float range") from None
+    # (6 mu0/pi)(8 e^2/hbar)^2, grouped so that no intermediate leaves the floats before the value does.
+    mu0_form = (6.0 * 64.0 / math.pi) * (constants.mu0 * constants.e_charge**2 / constants.hbar) * (
+        constants.e_charge**2 / constants.hbar
+    )
+    if not sys.float_info.min <= mu0_form < math.inf:
+        raise ValueError("the mu0 closed form of eps0 is out of float range")
 
     c_calculated = 1.0 / math.sqrt(constants.mu0 * eps0_calculated)
     return PermittivityReport(

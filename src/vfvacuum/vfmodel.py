@@ -45,11 +45,6 @@ def binding_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
     raise ValueError(f"the {species.name} pair's binding energy is out of float range")
 
 
-def binding_energy_alpha_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Same binding energy written through the fine-structure constant."""
-    return -species.mass * constants.alpha**2 * constants.c_defined**2 / 4.0
-
-
 def resonant_frequency(species: LeptonSpecies, constants: ConstantsSet) -> float:
     """Effective oscillator frequency: level spacing equals |binding energy|."""
     return species.mass * constants.alpha**2 * constants.c_defined**2 / (4.0 * constants.hbar)

@@ -1,4 +1,6 @@
-"""Exact symbolic oracle for the Dirac engine, derived with sympy's Dirac
+"""Independent oracles the tests compare the library with; no command runs them.
+
+Exact symbolic oracle for the Dirac engine, derived with sympy's Dirac
 matrices and free of numpy rounding.
 
 The pair is at rest, p_+ = p_- = (m, 0, 0, 0); the photon is k = (w, 0, 0, w);
@@ -9,14 +11,33 @@ angle b from the x axis. Tracing the engine's chain
 
 gives M = 2 sin^2(b - a) / m^2, and assembling the cross-section coefficient
 from it gives 8 when only the singlet contributes and 2 over all four spin states.
+
+Matrix-diagonalization oracle for the oscillator: the oscillator plus the
+linear field coupling in a truncated number basis, diagonalized without
+perturbation theory, gives the polarized ground state, its dipole and its
+uncertainty product.
+
+Alternative closed forms of quantities the library derives another way: the
+binding energy through alpha, the exact interaction probability
+1 - exp(-Gamma*dt), the effective density (alpha^5/4)(4mc/hbar)^3, the
+oscillator levels and first-order mixing amplitude, and the single-photon
+kinematic constraint.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
+import numpy as np
 import sympy
 from sympy.physics.matrices import mgamma
+
+from vfvacuum.constants import ConstantsSet, LeptonSpecies
+from vfvacuum.dirac import AnnihilationResult
+from vfvacuum.oscillator import OscillatorSpec, PhotonField
+from vfvacuum.permittivity import interaction_probability_linearized
+from vfvacuum.vfmodel import VfCharacterization, resonant_frequency
 
 m, w, a, b = sympy.symbols("m w a b", positive=True)
 
@@ -47,3 +68,116 @@ def cross_section_coefficient(spin_average_mode: str) -> sympy.Expr:
     angles = (0, sympy.pi / 2)
     element_sum = sum(squared_matrix_element().subs({a: i, b: f}) for i in angles for f in angles)
     return sympy.simplify(spin_factor * sympy.Rational(1, 2) * element_sum * 4 * sympy.pi * m**2 / sympy.pi)
+
+
+def _dimensionless_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum matrices in the number basis, units of the
+    oscillator length sqrt(hbar/(mu*omega)) and hbar over that length."""
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.zeros((n, n))
+    x[np.arange(n - 1), np.arange(1, n)] = off
+    x[np.arange(1, n), np.arange(n - 1)] = off
+    p = np.zeros((n, n), dtype=complex)
+    p[np.arange(n - 1), np.arange(1, n)] = -1j * off
+    p[np.arange(1, n), np.arange(n - 1)] = 1j * off
+    return x, p
+
+
+def _diagonalized_ground_state(
+    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet, basis_size: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ground state of the full Hamiltonian in the number basis truncated at
+    ``basis_size`` levels, the position matrix and the oscillator length.
+
+    Works in dimensionless oscillator units so the matrix is well scaled
+    regardless of the SI magnitudes involved.
+    """
+    if int(basis_size) != basis_size or basis_size < 8:
+        raise ValueError("basis_size must be an integer >= 8")
+    length = math.sqrt(constants.hbar / (spec.reduced_mass * spec.omega0))
+    strength = photon.charge * photon.e_field_at_interaction * length / (constants.hbar * spec.omega0)
+    x, _ = _dimensionless_operators(basis_size)
+    _, vectors = np.linalg.eigh(np.diag(np.arange(basis_size) + 0.5) - strength * x)
+    return vectors[:, 0], x, length
+
+
+def dipole_oracle(
+    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet, basis_size: int = 64
+) -> float:
+    """Dipole moment from brute-force diagonalization of the full Hamiltonian.
+
+    Independent of the perturbative path: builds the basis_size x basis_size
+    matrix of the oscillator plus the linear field coupling, diagonalizes it,
+    and evaluates q<x> in the true ground state.
+    """
+    ground, x, length = _diagonalized_ground_state(spec, photon, constants, basis_size)
+    return photon.charge * length * float(ground @ x @ ground)
+
+
+def ground_state_uncertainty_product(
+    spec: OscillatorSpec, constants: ConstantsSet, photon: PhotonField | None = None, basis_size: int = 64
+) -> float:
+    """Delta-x * Delta-p of the diagonalized ground state (hbar/2 at zero field)."""
+    if photon is None:
+        photon = PhotonField(0.0, constants.e_charge)
+    ground, _, _ = _diagonalized_ground_state(spec, photon, constants, basis_size)
+    x, p = _dimensionless_operators(basis_size)
+    g = ground.astype(complex)
+    x_mean = (g.conj() @ x @ g).real
+    x_sq = (g.conj() @ x @ x @ g).real
+    p_mean = (g.conj() @ p @ g).real
+    p_sq = (g.conj() @ p @ p @ g).real
+    return constants.hbar * math.sqrt(x_sq - x_mean**2) * math.sqrt(p_sq - p_mean**2)
+
+
+def oscillator_for_species(species: LeptonSpecies, constants: ConstantsSet) -> OscillatorSpec:
+    return OscillatorSpec(reduced_mass=species.reduced_mass, omega0=resonant_frequency(species, constants))
+
+
+def energy_level(spec: OscillatorSpec, n: int, constants: ConstantsSet) -> float:
+    """Oscillator eigenvalue hbar*omega0*(n + 1/2)."""
+    if int(n) != n or n < 0:
+        raise ValueError("level index must be a non-negative integer")
+    return constants.hbar * spec.omega0 * (n + 0.5)
+
+
+def perturbed_ground_state_coefficient(
+    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet
+) -> float:
+    """First-order amplitude of the first excited state in the polarized
+    ground state; the only level mixed in by a field linear in x."""
+    return photon.charge * photon.e_field_at_interaction / math.sqrt(
+        2.0 * spec.reduced_mass * constants.hbar * spec.omega0**3
+    )
+
+
+def binding_energy_alpha_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
+    """The pair's Coulomb binding energy written through the fine-structure constant."""
+    return -species.mass * constants.alpha**2 * constants.c_defined**2 / 4.0
+
+
+def interaction_probability(
+    pair: VfCharacterization, constants: ConstantsSet, decay: AnnihilationResult
+) -> float:
+    """Probability that a pair interacts with a photon during its lifetime,
+    1 - exp(-Gamma*dt)."""
+    # expm1 keeps the ~5e-12 exponent from drowning in the 1-ulp of 1.0.
+    return -math.expm1(-interaction_probability_linearized(pair, constants, decay))
+
+
+def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
+    """Closed form (alpha^5/4) (4mc/hbar)^3 of the effective density."""
+    return (constants.alpha**5 / 4.0) * (4.0 * species.mass * constants.c_defined / constants.hbar) ** 3
+
+
+def kinematic_check(electron_energy: float, photon_energy: float) -> str:
+    """Single-photon annihilation kinematics for a pair at rest.
+
+    The squared conservation constraint reduces to E^2 + E*w = 0, which a
+    physical pair (E > 0) can never satisfy; only the transient-pair limit
+    E -> 0 opens the channel.
+    """
+    if electron_energy < 0.0 or photon_energy < 0.0:
+        raise ValueError("energies must be non-negative")
+    constraint = electron_energy**2 + electron_energy * photon_energy
+    return "allowed" if constraint == 0.0 else "forbidden"

@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+import oracles
 from vfvacuum import dirac, oscillator, permittivity, vfmodel
 from vfvacuum.cli import run
 from vfvacuum.constants import load_constants
@@ -143,10 +144,10 @@ def test_08_oscillator_oracle(constants):
         spec = oscillator.OscillatorSpec(reduced_mass=mu, omega0=omega)
         photon = oscillator.PhotonField(field, constants.e_charge)
         perturbative = oscillator.dipole_expectation(spec, photon, constants)
-        oracle = oscillator.dipole_oracle(spec, photon, constants)
+        oracle = oracles.dipole_oracle(spec, photon, constants)
         worst = max(worst, abs(oracle / perturbative - 1.0))
-    spec = oscillator.oscillator_for_species(constants.lepton("electron"), constants)
-    product = oscillator.ground_state_uncertainty_product(spec, constants)
+    spec = oracles.oscillator_for_species(constants.lepton("electron"), constants)
+    product = oracles.ground_state_uncertainty_product(spec, constants)
     ok = worst <= 1e-6 and abs(product / (constants.hbar / 2.0) - 1.0) <= 1e-8
     judge(
         "oscillator oracle",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from vfvacuum import oscillator
 from vfvacuum.oscillator import OscillatorSpec, PhotonField
 from vfvacuum.vfmodel import characterize
@@ -11,7 +12,7 @@ from vfvacuum.vfmodel import characterize
 
 @pytest.fixture()
 def electron_spec(constants, electron):
-    return oscillator.oscillator_for_species(electron, constants)
+    return oracles.oscillator_for_species(electron, constants)
 
 
 @pytest.fixture()
@@ -28,13 +29,15 @@ def hermite_gaussian(n, x):
     raise ValueError(n)
 
 
-def test_spec_validation():
+def test_spec_validation(constants):
     with pytest.raises(ValueError):
         OscillatorSpec(reduced_mass=-1.0, omega0=1.0)
     with pytest.raises(ValueError):
         OscillatorSpec(reduced_mass=1.0, omega0=0.0)
     with pytest.raises(ValueError):
-        OscillatorSpec(reduced_mass=1.0, omega0=1.0, basis_size=4)
+        oracles.dipole_oracle(
+            OscillatorSpec(reduced_mass=1.0, omega0=1.0), PhotonField(0.0, 1.0), constants, basis_size=4
+        )
 
 
 def test_photon_validation():
@@ -48,11 +51,11 @@ def test_photon_validation():
 
 
 def test_energy_levels(constants, electron_spec):
-    ground = oscillator.energy_level(electron_spec, 0, constants)
+    ground = oracles.energy_level(electron_spec, 0, constants)
     assert ground == pytest.approx(constants.hbar * electron_spec.omega0 / 2.0, rel=1e-12)
-    spacing = oscillator.energy_level(electron_spec, 1, constants) - ground
+    spacing = oracles.energy_level(electron_spec, 1, constants) - ground
     assert spacing == pytest.approx(constants.hbar * electron_spec.omega0, rel=1e-12)
-    assert oscillator.energy_level(electron_spec, 5, constants) == pytest.approx(
+    assert oracles.energy_level(electron_spec, 5, constants) == pytest.approx(
         5.5 * constants.hbar * electron_spec.omega0, rel=1e-12
     )
 
@@ -60,7 +63,7 @@ def test_energy_levels(constants, electron_spec):
 def test_level_spacing_equals_binding(constants, electron, electron_spec):
     from vfvacuum.vfmodel import binding_energy
 
-    spacing = oscillator.energy_level(electron_spec, 1, constants) - oscillator.energy_level(
+    spacing = oracles.energy_level(electron_spec, 1, constants) - oracles.energy_level(
         electron_spec, 0, constants
     )
     assert spacing == pytest.approx(abs(binding_energy(electron, constants)), rel=1e-9)
@@ -68,19 +71,19 @@ def test_level_spacing_equals_binding(constants, electron, electron_spec):
 
 def test_negative_level_rejected(constants, electron_spec):
     with pytest.raises(ValueError):
-        oscillator.energy_level(electron_spec, -1, constants)
+        oracles.energy_level(electron_spec, -1, constants)
 
 
 def test_coefficient_zero_field(constants, electron_spec):
     photon = PhotonField(0.0, constants.e_charge)
-    assert oscillator.perturbed_ground_state_coefficient(electron_spec, photon, constants) == 0.0
+    assert oracles.perturbed_ground_state_coefficient(electron_spec, photon, constants) == 0.0
 
 
 def test_coefficient_sign_follows_field(constants, electron_spec):
-    plus = oscillator.perturbed_ground_state_coefficient(
+    plus = oracles.perturbed_ground_state_coefficient(
         electron_spec, PhotonField(2.5, constants.e_charge), constants
     )
-    minus = oscillator.perturbed_ground_state_coefficient(
+    minus = oracles.perturbed_ground_state_coefficient(
         electron_spec, PhotonField(-2.5, constants.e_charge), constants
     )
     assert plus > 0.0
@@ -96,7 +99,7 @@ def test_coefficient_against_quadrature(constants, electron_spec, unit_photon):
     overlap, _ = quad(lambda x: hermite_gaussian(1, x) * x * hermite_gaussian(0, x), -12, 12)
     integral = -q * field * length * overlap
     coefficient = integral / (-constants.hbar * electron_spec.omega0)
-    assert oscillator.perturbed_ground_state_coefficient(
+    assert oracles.perturbed_ground_state_coefficient(
         electron_spec, unit_photon, constants
     ) == pytest.approx(coefficient, rel=1e-8)
 
@@ -144,22 +147,21 @@ def test_dipole_linearity(constants, electron_spec):
 
 def test_dipole_matches_oracle(constants, electron_spec, unit_photon):
     perturbative = oscillator.dipole_expectation(electron_spec, unit_photon, constants)
-    oracle = oscillator.dipole_oracle(electron_spec, unit_photon, constants)
+    oracle = oracles.dipole_oracle(electron_spec, unit_photon, constants)
     assert oracle == pytest.approx(perturbative, rel=1e-6)
 
 
 def test_oracle_zero_field_is_symmetric(constants, electron_spec):
     photon = PhotonField(0.0, constants.e_charge)
-    dipole = oscillator.dipole_oracle(electron_spec, photon, constants)
+    dipole = oracles.dipole_oracle(electron_spec, photon, constants)
     length = math.sqrt(constants.hbar / (electron_spec.reduced_mass * electron_spec.omega0))
     assert abs(dipole) / (photon.charge * length) < 1e-14
 
 
 def test_oracle_basis_convergence(constants, electron, unit_photon):
-    small = oscillator.oscillator_for_species(electron, constants, basis_size=16)
-    large = oscillator.oscillator_for_species(electron, constants, basis_size=64)
-    d_small = oscillator.dipole_oracle(small, unit_photon, constants)
-    d_large = oscillator.dipole_oracle(large, unit_photon, constants)
+    spec = oracles.oscillator_for_species(electron, constants)
+    d_small = oracles.dipole_oracle(spec, unit_photon, constants, basis_size=16)
+    d_large = oracles.dipole_oracle(spec, unit_photon, constants, basis_size=64)
     assert d_small == pytest.approx(d_large, rel=1e-6)
 
 
@@ -175,15 +177,15 @@ def test_weak_field_property_sweep(constants):
         spec = OscillatorSpec(reduced_mass=mu, omega0=omega)
         photon = PhotonField(field, constants.e_charge)
         assert abs(
-            oscillator.perturbed_ground_state_coefficient(spec, photon, constants)
+            oracles.perturbed_ground_state_coefficient(spec, photon, constants)
         ) < 1e-3
         perturbative = oscillator.dipole_expectation(spec, photon, constants)
-        oracle = oscillator.dipole_oracle(spec, photon, constants)
+        oracle = oracles.dipole_oracle(spec, photon, constants)
         assert oracle == pytest.approx(perturbative, rel=1e-6)
 
 
 def test_ground_state_uncertainty_product(constants, electron_spec):
-    product = oscillator.ground_state_uncertainty_product(electron_spec, constants)
+    product = oracles.ground_state_uncertainty_product(electron_spec, constants)
     assert product == pytest.approx(constants.hbar / 2.0, rel=1e-8)
 
 
@@ -199,9 +201,9 @@ def test_species_dipole_electron_value(constants, electron, unit_photon):
     expected = (constants.e_charge**2 / electron.reduced_mass) / omega**2
     value = oscillator.species_dipole(characterize(electron, constants), constants, unit_photon)
     assert value == pytest.approx(expected, rel=1e-12)
-    spec = oscillator.oscillator_for_species(electron, constants)
+    spec = oracles.oscillator_for_species(electron, constants)
     assert value == pytest.approx(
-        oscillator.dipole_oracle(spec, unit_photon, constants), rel=1e-6
+        oracles.dipole_oracle(spec, unit_photon, constants), rel=1e-6
     )
 
 

@@ -1,18 +1,18 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
+import oracles
 from vfvacuum import dirac, oscillator, permittivity, vfmodel
 from vfvacuum.constants import ConsistencyError, load_constants
 from vfvacuum.permittivity import (
     LaserSpec,
     annihilation_rate_closed_form,
     effective_density,
-    effective_density_closed_form,
     eps0_contribution_closed_form,
     eps0_total,
-    interaction_probability,
     interaction_probability_linearized,
     photon_number_density,
 )
@@ -34,7 +34,7 @@ def test_probability_bounds_and_linearization(constants):
     for species in constants.leptons():
         decay = dirac.decay_rate(species, constants)
         pair = vfmodel.characterize(species, constants)
-        exact = interaction_probability(pair, constants, decay)
+        exact = oracles.interaction_probability(pair, constants, decay)
         linear = interaction_probability_linearized(pair, constants, decay)
         assert 0.0 < exact < 1.0
         # difference is the quadratic term of the exponential, ~(Gamma dt)^2/2
@@ -47,7 +47,7 @@ def test_effective_density_electron(constants, electron):
         vfmodel.characterize(electron, constants), constants, dirac.decay_rate(electron, constants)
     )
     assert value == pytest.approx(5.8e27, rel=2e-2)
-    assert value == pytest.approx(effective_density_closed_form(electron, constants), rel=1e-12)
+    assert value == pytest.approx(oracles.effective_density_closed_form(electron, constants), rel=1e-12)
 
 
 def test_effective_density_is_density_times_probability(constants, electron):
@@ -136,21 +136,36 @@ def test_eps0_total_rejects_nonfinite_contributions(constants, monkeypatch, dipo
         eps0_total(constants)
 
 
-def test_eps0_total_mu0_form_out_of_float_range_is_a_value_error(constants):
-    """The audited table with the units of mass, length, time and charge scaled by 1e-40,
-    1e-80, 1e-80 and 1e20: (8 e^2/hbar)^2 overflows."""
-    mass, length, time, charge = 1e-40, 1e-80, 1e-80, 1e20
+def _in_rescaled_units(constants, mass, length, time, charge):
+    """The table in units of mass, length, time and charge scaled by the given factors."""
     action, energy = mass * length**2 / time, mass * length**2 / time**2
-    scaled = dataclasses.replace(
+    return dataclasses.replace(
         constants,
         h=constants.h * action,
         hbar=constants.hbar * action,
+        c_defined=constants.c_defined * length / time,
         e_charge=constants.e_charge * charge,
         mu0=constants.mu0 * mass * length / charge**2,
         eps0_accepted=constants.eps0_accepted * charge**2 * time**2 / (mass * length**3),
         electronvolt=constants.electronvolt * energy,
         **{f"m_{s.name}": s.mass * mass for s in constants.leptons()},
     )
+
+
+def test_eps0_total_mu0_form_in_rescaled_units_meets_the_alpha_form(constants):
+    """The audited table with the units of mass, length, time and charge scaled by 1e-40,
+    1e-80, 1e-80 and 1e20: (8 e^2/hbar)^2 alone overflows, but the grouping
+    (mu0 e^2/hbar)(e^2/hbar) keeps every intermediate in range."""
+    report = eps0_total(_in_rescaled_units(constants, 1e-40, 1e-80, 1e-80, 1e20))
+    assert sys.float_info.min <= report.eps0_mu0_form < math.inf
+    assert report.eps0_mu0_form == pytest.approx(report.eps0_alpha_form, rel=1e-6)
+
+
+def test_eps0_total_mu0_form_out_of_float_range_is_a_value_error(constants):
+    """The audited table with the units of mass, length, time and charge scaled by 1e45,
+    1e45, 1e-45 and 1e-15: eps0 itself, about 9.1e-312 there, is subnormal."""
+    scaled = _in_rescaled_units(constants, 1e45, 1e45, 1e-45, 1e-15)
+    assert 0.0 < 3.0 * eps0_contribution_closed_form(scaled) < sys.float_info.min
     with pytest.raises(ValueError, match="^the mu0 closed form of eps0 is out of float range$"):
         eps0_total(scaled)
 

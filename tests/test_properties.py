@@ -223,6 +223,16 @@ def test_pipeline_is_covariant_under_a_change_of_units(scales):
     assert [name for name in UNIT_INVARIANT_ROWS if status[name] != "pass"] == []
 
 
+def _run_in_rescaled_units(override_path, exponents, argv, output_format):
+    """(exit code, stdout, stderr) of ``cli.run`` on the pinned table in units rescaled by 10**exponents."""
+    values = _rescaled_values([10.0**exponent for exponent in exponents])
+    override_path.write_text("".join(f"{name} = {value!r}\n" for name, value in values.items()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run([*argv, "--format", output_format, "--constants", str(override_path)])
+    return code, out, err
+
+
 wide_exponents = st.floats(-45.0, 45.0)
 lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
     lambda command: st.sampled_from([[command, name] for name in LEPTON_NAMES])
@@ -232,7 +242,10 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 # Tables at the edges of float range: the charge unit x1e-60 and x1e100 (the direct
 # Coulomb form of vfmodel.binding_energy leaves the floats there: its denominator
 # underflows, its e^4 overflows), masses x1e-20 and times x1e140 (every binding energy
-# is subnormal), and the table that overflows the mu0 closed form of eps0.
+# is subnormal), the table where (8 e^2/hbar)^2 alone overflows (the mu0 closed form of
+# eps0 is grouped to stay in range), and two tables whose evaluation raises an
+# ArithmeticError: omega0^2 overflows in the dipole, and hbar*c underflows to zero in the
+# closed-form contribution.
 @settings(max_examples=100)
 @given(
     st.tuples(wide_exponents, wide_exponents, wide_exponents, wide_exponents),
@@ -246,12 +259,10 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 @example((-20.0, 0.0, 140.0, 0.0), ["report"], "json")
 @example((-20.0, 0.0, 140.0, 0.0), ["species", "tau"], "text")
 @example((-40.0, -80.0, -80.0, 20.0), ["report"], "json")
+@example((-45.0, -75.0, -150.0, -90.0), ["report"], "json")
+@example((-45.0, -75.0, 15.0, -135.0), ["report"], "text")
 def test_cli_survives_any_change_of_units(override_path, exponents, argv, output_format):
-    values = _rescaled_values([10.0**exponent for exponent in exponents])
-    override_path.write_text("".join(f"{name} = {value!r}\n" for name, value in values.items()), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run([*argv, "--format", output_format, "--constants", str(override_path)])
+    code, out, err = _run_in_rescaled_units(override_path, exponents, argv, output_format)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -260,3 +271,23 @@ def test_cli_survives_any_change_of_units(override_path, exponents, argv, output
         assert err.getvalue() == ""
         if output_format == "json":
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_report_in_units_where_the_direct_mu0_form_overflows_exits_1(override_path):
+    """Units of mass, length, time and charge x1e-40, x1e-80, x1e-80, x1e20: the report
+    prints, every unit-invariant row passes and only SI-anchored rows fail."""
+    code, out, err = _run_in_rescaled_units(override_path, (-40.0, -80.0, -80.0, 20.0), ["report"], "json")
+    assert (code, err.getvalue()) == (1, "")
+    failing = [row["name"] for row in json.loads(out.getvalue())["checks"] if row["status"] != "pass"]
+    assert failing and set(failing) <= set(SI_ANCHORED_ROWS)
+
+
+@pytest.mark.parametrize(
+    "exponents, error",
+    [((-45.0, -75.0, -150.0, -90.0), "OverflowError"), ((-45.0, -75.0, 15.0, -135.0), "ZeroDivisionError")],
+)
+def test_report_whose_evaluation_leaves_the_floats_exits_2(override_path, exponents, error):
+    code, out, err = _run_in_rescaled_units(override_path, exponents, ["report"], "text")
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: the evaluation left float range: {error}: ")
+    assert err.getvalue().count("\n") == 1

@@ -73,8 +73,7 @@ def test_build_report_derives_each_pair_record_once(monkeypatch):
     calls = collections.Counter()
     for module, name in ((vfmodel, "characterize"), (vfmodel, "vf_lifetime"),
                          (vfmodel, "vf_length"), (vfmodel, "resonant_frequency"),
-                         (oscillator, "resonant_frequency"), (dirac, "decay_rate"),
-                         (ConstantsSet, "leptons")):
+                         (dirac, "decay_rate"), (ConstantsSet, "leptons")):
         count_calls(monkeypatch, calls, module, name)
     report.build_report(constants)
     assert calls == {"characterize": 3, "vf_lifetime": 3, "vf_length": 3,
