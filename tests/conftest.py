@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vfvacuum import cli
+from vfvacuum import cli, dirac
 from vfvacuum import constants as constants_module
 from vfvacuum.constants import load_constants
 
@@ -20,6 +20,7 @@ def clear_memos():
     function must see it run, not an output kept from an earlier test."""
     cli._output.cache_clear()
     constants_module._parse_pinned.cache_clear()
+    dirac._seed_independent.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -320,6 +320,15 @@ SUBCOMMAND_BYTES = [
     # One trial past a block of 1024.
     ("trace-check --trials 1025 --seed 7", "json", 0,
      "301d3a52e154459089c96d8d86738c5d5c58debd2d50eed4c83a969094e65f6b"),
+    # The benchmark's verify-warm shape: 1000 trials, at the smallest, a middle and the largest seed.
+    ("trace-check --trials 1000 --seed 0", "json", 0,
+     "1da2b00b68f76f2591a35bc6321f29ea4364eb1d7852a4f026a1a5c30cf22b28"),
+    ("trace-check --trials 1000 --seed 0", "text", 0,
+     "987f208342de35ec0e4e8e1cfbf30041e15c7cc20b56a8a1081d5e520f37d0ca"),
+    ("trace-check --trials 1000 --seed 1234", "json", 0,
+     "18ac50bd4f8e8e817be356a6f31603989b459d5a1d235b55a40e550c12fe2fdc"),
+    ("trace-check --trials 1000 --seed 2147483647", "json", 0,
+     "6a8263d560461197f75846f867568fa67181923e9fc4bc83074bf36a1d25e086"),
 ]
 
 

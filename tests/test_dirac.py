@@ -174,7 +174,8 @@ def test_rest_frame_u_satisfies_dirac_equation():
 def test_rest_frame_spin_sum_projector():
     m = 0.7
     rest = np.array([m, 0.0, 0.0, 0.0])
-    assert np.max(np.abs(spin_sum("u", rest, m) - (GAMMA[0] + IDENTITY) / 2.0)) < 1e-14
+    spinors = [spinor("u", rest, spin_label, m) for spin_label in ("+", "-")]
+    assert np.max(np.abs(spin_sum(spinors) - (GAMMA[0] + IDENTITY) / 2.0)) < 1e-14
 
 
 def test_boosted_spinor_invariants():
@@ -183,13 +184,13 @@ def test_boosted_spinor_invariants():
     pz = m * beta / math.sqrt(1.0 - beta**2)
     momentum = np.array([math.sqrt(m**2 + pz**2), 0.0, 0.0, pz])
     for kind, sign in (("u", 1.0), ("v", -1.0)):
-        for spin_label in ("+", "-"):
-            psi = spinor(kind, momentum, spin_label, m)
+        spinors = [spinor(kind, momentum, spin_label, m) for spin_label in ("+", "-")]
+        for psi in spinors:
             residual = (slash(momentum) - sign * m * IDENTITY) @ psi
             assert np.max(np.abs(residual)) < 1e-12
             assert psi.conj() @ GAMMA[0] @ psi == pytest.approx(sign, abs=1e-12)
         projector = (slash(momentum) + sign * m * IDENTITY) / (2.0 * m)
-        assert np.max(np.abs(spin_sum(kind, momentum, m) - projector)) < 1e-12
+        assert np.max(np.abs(spin_sum(spinors) - projector)) < 1e-12
 
 
 def test_off_shell_momentum_rejected():
@@ -778,16 +779,47 @@ def test_trace_rounds_as_np_trace(shape):
 
 
 def test_bound_draw_calls_read_the_same_stream():
-    """The suite's per-trial loops call ``standard_normal(3)`` and ``-1 + 2 random()``
-    through bound methods; both consume the words ``normal(size=3)`` and
-    ``uniform(-1, 1)`` consume and give the same values."""
+    """The suite's per-trial loops call ``standard_normal(out=row)`` on a row of three
+    floats and ``-1 + 2 random()`` through bound methods; both consume the words
+    ``normal(size=3)`` and ``uniform(-1, 1)`` consume and give the same values."""
     reference, bound = np.random.default_rng(2024), np.random.default_rng(2024)
     normal, random = bound.standard_normal, bound.random
     expected = [(reference.normal(size=3), reference.uniform(-1.0, 1.0)) for _ in range(5000)]
-    drawn = [(normal(3), -1.0 + 2.0 * random()) for _ in range(5000)]
-    assert np.array_equal([d for d, _ in drawn], [d for d, _ in expected])
-    assert np.array_equal([u for _, u in drawn], [u for _, u in expected])
+    rows, uniforms = np.empty((5000, 3)), []
+    for row in rows:
+        normal(out=row)
+        uniforms.append(-1.0 + 2.0 * random())
+    assert np.array_equal(rows, [d for d, _ in expected])
+    assert np.array_equal(uniforms, [u for _, u in expected])
     assert bound.bit_generator.state == reference.bit_generator.state
+
+
+def test_slash_of_a_block_has_the_bits_of_slash_per_vector_view():
+    """The suite slashes each drawn block once and takes per-vector views of the result;
+    every entry is one signed component or zero, so the bits match one product per
+    strided view, as each view was slashed before."""
+    rng = np.random.default_rng(11)
+    with np.errstate(invalid="ignore"):  # inf times a zero entry
+        for vectors in (rng.normal(size=(1025, 4, 4)), special_stack(rng, (300, 2, 4))):
+            block = slash(vectors)
+            for i, view in enumerate(np.moveaxis(vectors, 1, 0)):
+                assert_same_bits(block[:, i], (view @ dirac._GAMMA_LOWERED.reshape(4, 16)).reshape(-1, 4, 4))
+                assert_same_bits(block[:, i], slash(view))
+
+
+def test_seed_independent_work_runs_once_per_process(monkeypatch):
+    """The first suite of a process evaluates the rows no draw enters and the rotation
+    reference amplitude; a later suite reads them, and calls the engine only for its draws."""
+    calls = []
+    for name in ("cross_section_coefficient", "phase_space_integral", "squared_matrix_element"):
+        original = getattr(dirac, name)
+        monkeypatch.setattr(dirac, name, lambda *a, _f=original, _n=name, **k: calls.append((_n, a)) or _f(*a, **k))
+    first = verification_suite(trials=3, seed=8)
+    assert [args[0] for name, args in calls if name == "cross_section_coefficient"] == ["all_four", "singlet_only"]
+    assert [args[0] for name, args in calls if name == "phase_space_integral"].count("regularized") == 1
+    del calls[:]
+    assert verification_suite(trials=3, seed=8) == first
+    assert [name for name, _ in calls] == ["squared_matrix_element"] * 2  # the angular-law and rotation draws
 
 
 def test_verification_suite_passes_over_seeds_at_1000_trials():

@@ -243,9 +243,9 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 # Coulomb form of vfmodel.binding_energy leaves the floats there: its denominator
 # underflows, its e^4 overflows), masses x1e-20 and times x1e140 (every binding energy
 # is subnormal), the table where (8 e^2/hbar)^2 alone overflows (the mu0 closed form of
-# eps0 is grouped to stay in range), and two tables whose evaluation raises an
-# ArithmeticError: omega0^2 overflows in the dipole, and hbar*c underflows to zero in the
-# closed-form contribution.
+# eps0 is grouped to stay in range), and three tables whose evaluation raises an
+# ArithmeticError: omega0^2 overflows in the dipole, hbar*c underflows to zero in the
+# closed-form contribution, and the laser-below-vf-density ratio overflows.
 @settings(max_examples=100)
 @given(
     st.tuples(wide_exponents, wide_exponents, wide_exponents, wide_exponents),
@@ -261,6 +261,8 @@ lepton_argv = st.sampled_from(["species", "decay"]).flatmap(
 @example((-40.0, -80.0, -80.0, 20.0), ["report"], "json")
 @example((-45.0, -75.0, -150.0, -90.0), ["report"], "json")
 @example((-45.0, -75.0, 15.0, -135.0), ["report"], "text")
+@example((-45.0, 30.0, 105.0, -135.0), ["report"], "json")
+@example((-45.0, 30.0, 105.0, -135.0), ["report"], "text")
 def test_cli_survives_any_change_of_units(override_path, exponents, argv, output_format):
     code, out, err = _run_in_rescaled_units(override_path, exponents, argv, output_format)
     assert code in (0, 1, 2)
@@ -284,7 +286,8 @@ def test_report_in_units_where_the_direct_mu0_form_overflows_exits_1(override_pa
 
 @pytest.mark.parametrize(
     "exponents, error",
-    [((-45.0, -75.0, -150.0, -90.0), "OverflowError"), ((-45.0, -75.0, 15.0, -135.0), "ZeroDivisionError")],
+    [((-45.0, -75.0, -150.0, -90.0), "OverflowError"), ((-45.0, -75.0, 15.0, -135.0), "ZeroDivisionError"),
+     ((-45.0, 30.0, 105.0, -135.0), "OverflowError")],  # the laser-below-vf-density ratio overflows
 )
 def test_report_whose_evaluation_leaves_the_floats_exits_2(override_path, exponents, error):
     code, out, err = _run_in_rescaled_units(override_path, exponents, ["report"], "text")
