@@ -146,7 +146,7 @@ def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.
     pair = np.abs(_trace(ab) - 4.0 * _dot(a, b)) / scale
     expected = 4.0 * (_dot(a, b) * _dot(c, d) - _dot(a, c) * _dot(b, d) + _dot(a, d) * _dot(b, c))
     quartet = np.abs(_trace(abc @ sd) - expected) / scale**2
-    odd = np.maximum(np.abs(_trace(sa)) / scale, np.abs(_trace(abc)) / scale**1.5)
+    odd = np.abs(_trace(abc)) / scale**1.5
     return pair, quartet, odd
 
 
