@@ -314,21 +314,21 @@ SUBCOMMAND_BYTES = [
     ("constants", "json", 0, "505f80eefa2a0341674fa26b6574d1d910a209fe745f592370d38658da16212e"),
     ("constants", "text", 0, "9790cb198b56a0ccf898bd9aa36bd892429d3f04147201ccf1f098f97298e741"),
     ("trace-check --trials 50 --seed 3", "json", 0,
-     "31a36c558d9f424cc585b1cbc7543c931f20f115ab7605d1e56db590a771c854"),
+     "d64b14a79a00ad9cd85efc38dd11c45711fe04196233ed85b9e79b2040e8ae84"),
     ("trace-check --trials 50 --seed 3", "text", 0,
-     "43fe709f74ff62c718cc7f8d96701c486e7b12dde309f2dabe0279ff347ca3dd"),
+     "57aaaed178228b5858ecbff413755e66a5c18f2f9ec6c267cf021cdf42647777"),
     # One trial past a block of 1024.
     ("trace-check --trials 1025 --seed 7", "json", 0,
-     "301d3a52e154459089c96d8d86738c5d5c58debd2d50eed4c83a969094e65f6b"),
+     "0b4c7654075e876ddec84b8bf2ae772390549abe7f8484359f8e487f354508bb"),
     # The benchmark's verify-warm shape: 1000 trials, at the smallest, a middle and the largest seed.
     ("trace-check --trials 1000 --seed 0", "json", 0,
-     "1da2b00b68f76f2591a35bc6321f29ea4364eb1d7852a4f026a1a5c30cf22b28"),
+     "d05d7a11570c7e3adda6b5706f07e91634d0cbea145155544f0261a672ad1e5c"),
     ("trace-check --trials 1000 --seed 0", "text", 0,
-     "987f208342de35ec0e4e8e1cfbf30041e15c7cc20b56a8a1081d5e520f37d0ca"),
+     "4c8c250ff9dc14fafc91030cbba15bf24927d7c85062721cc37d9863e054063a"),
     ("trace-check --trials 1000 --seed 1234", "json", 0,
-     "18ac50bd4f8e8e817be356a6f31603989b459d5a1d235b55a40e550c12fe2fdc"),
+     "bf2692468e3fd482def5e7d6fa1a6a210bbe82886249d2f8c08121bcd98a84fa"),
     ("trace-check --trials 1000 --seed 2147483647", "json", 0,
-     "6a8263d560461197f75846f867568fa67181923e9fc4bc83074bf36a1d25e086"),
+     "c8b3c410de0a00f488ed13865d553f19a635ac91f757233a8c36baff61f3598e"),
 ]
 
 

@@ -21,7 +21,6 @@ from vfvacuum.dirac import (
     spin_sum,
     spinor,
     squared_matrix_element,
-    trace_identities_check,
     transverse_polarization_basis,
     two_photon_rate_natural,
     verification_suite,
@@ -132,7 +131,7 @@ def test_lightlike_slash_squares_to_zero():
 
 
 def test_trace_identities_report():
-    rows = trace_identities_check(trials=100, seed=1)
+    rows = verification_suite(trials=100, seed=1)[2:5]
     assert {row.name for row in rows} == {
         "trace-pair-identity",
         "trace-quartet-identity",
@@ -143,8 +142,8 @@ def test_trace_identities_report():
 
 def test_trace_identities_match_per_trial_loop():
     """Reference: the per-trial loop over scalar slash calls, drawing each
-    trial's four vectors in turn; the batched check must draw the same numbers
-    in the same order and give the same residuals."""
+    trial's four vectors in turn; the suite's first section must draw the same
+    numbers in the same order and give the same residuals."""
     rng = np.random.default_rng(21)
     worst = [0.0, 0.0, 0.0]
     for _ in range(300):
@@ -157,7 +156,7 @@ def test_trace_identities_match_per_trial_loop():
         odd = max(abs(np.trace(slash(a))) / scale, abs(np.trace(slash(a) @ slash(b) @ slash(c))) / scale**1.5)
         worst = [max(worst[0], abs(pair - 4.0 * minkowski(a, b)) / scale),
                  max(worst[1], abs(quartet - expected) / scale**2), max(worst[2], odd)]
-    assert [row.measured for row in trace_identities_check(trials=300, seed=21)] == worst
+    assert [row.measured for row in verification_suite(trials=300, seed=21)[2:5]] == worst
 
 
 # ------------------------------------------------------------------ spinors
@@ -342,7 +341,7 @@ def test_basis_cross_product_matches_np_cross():
     rng = np.random.default_rng(17)
     k3 = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1))
     k3 = np.concatenate([k3, [[0, 0, 1], [0, 0, -2], [3, 0, 0], [0, -1, 0], [1, 1, 0], [-1, 1, 1]]])
-    norm = np.sqrt((k3[:, None, :] @ k3[:, :, None])[:, 0, 0])  # rounded as the basis rounds it
+    norm = np.sqrt((k3 * k3).sum(axis=-1))  # rounded as the basis rounds it
     khat = k3 / norm[:, None]
     momenta = np.concatenate([norm[:, None], k3], axis=1)
     bases = transverse_polarization_basis(momenta)
@@ -674,10 +673,36 @@ def test_verification_suite_rows_at_block_edges(trials):
     assert all(row.status == "pass" for row in rows)
 
 
+RANDOMIZED_SECTIONS = [
+    "_trace_identity_residuals",
+    "_slash_square_residuals",
+    "_spinor_residuals",
+    "_angular_law_residuals",
+    "_rotation_residuals",
+    "_polarization_sum_residuals",
+    "_basis_independence_residuals",
+]
+
+
 def test_verification_suite_independent_of_block_size(monkeypatch):
-    reference = verification_suite(trials=60, seed=4)
-    monkeypatch.setattr(dirac, "_BLOCK", 7)
-    assert verification_suite(trials=60, seed=4) == reference
+    """Each section draws its trials in trial-major order, so blocks of 7 trials
+    draw the same numbers for the same trials as blocks of the default size. A row
+    keeps only its largest residual, so each section's per-trial residuals are
+    compared too."""
+    default = dirac._BLOCK
+    for trials in (60, 1025):
+        measured = []
+        for block in (default, 7):
+            monkeypatch.setattr(dirac, "_BLOCK", block)
+            measured.append([row.measured for row in verification_suite(trials=trials, seed=4)])
+        assert measured[0] == measured[1], trials
+    for name in RANDOMIZED_SECTIONS:
+        per_trial = []
+        for sizes in ([60], [7] * 8 + [4]):
+            rng = np.random.default_rng(4)
+            blocks = [np.broadcast_arrays(*getattr(dirac, name)(rng, size)) for size in sizes]
+            per_trial.append(np.concatenate(blocks, axis=-1))
+        assert np.array_equal(*per_trial), name
 
 
 def test_verification_suite_seed_changes_draws():
@@ -687,23 +712,20 @@ def test_verification_suite_seed_changes_draws():
 
 
 def test_suite_sections_draw_apart_from_trace_identities(monkeypatch):
-    """The randomized sections of the suite take a stream of their own: the
-    first four-vectors of slash-clifford-square are not the trace-identity ones."""
+    """The randomized sections draw in turn from one generator: no two of them
+    start on the same draws."""
     first_draws = {}
-
-    def recording(name):
-        residuals = getattr(dirac, name)
-
-        def wrapped(rng, count):
-            first_draws.setdefault(name, copy.deepcopy(rng).normal(size=8))
-            return residuals(rng, count)
+    for name in RANDOMIZED_SECTIONS:
+        def wrapped(rng, count, _name=name, _residuals=getattr(dirac, name)):
+            first_draws.setdefault(_name, copy.deepcopy(rng).random(8))
+            return _residuals(rng, count)
 
         monkeypatch.setattr(dirac, name, wrapped)
-
-    recording("_trace_identity_residuals")
-    recording("_slash_square_residuals")
     verification_suite(trials=4, seed=5)
-    assert not np.any(first_draws["_trace_identity_residuals"] == first_draws["_slash_square_residuals"])
+    assert sorted(first_draws) == sorted(RANDOMIZED_SECTIONS)
+    for i, first in enumerate(RANDOMIZED_SECTIONS):
+        for second in RANDOMIZED_SECTIONS[i + 1:]:
+            assert not np.any(first_draws[first] == first_draws[second]), (first, second)
 
 
 @pytest.mark.parametrize("count", [1, 4, 200, 1000, 1025])
@@ -776,22 +798,6 @@ def test_trace_rounds_as_np_trace(shape):
         stacks += [stack.swapaxes(-1, -2) for stack in stacks]
         for stack in stacks:
             assert_same_bits(dirac._trace(stack), np.trace(stack, axis1=-2, axis2=-1))
-
-
-def test_bound_draw_calls_read_the_same_stream():
-    """The suite's per-trial loops call ``standard_normal(out=row)`` on a row of three
-    floats and ``-1 + 2 random()`` through bound methods; both consume the words
-    ``normal(size=3)`` and ``uniform(-1, 1)`` consume and give the same values."""
-    reference, bound = np.random.default_rng(2024), np.random.default_rng(2024)
-    normal, random = bound.standard_normal, bound.random
-    expected = [(reference.normal(size=3), reference.uniform(-1.0, 1.0)) for _ in range(5000)]
-    rows, uniforms = np.empty((5000, 3)), []
-    for row in rows:
-        normal(out=row)
-        uniforms.append(-1.0 + 2.0 * random())
-    assert np.array_equal(rows, [d for d, _ in expected])
-    assert np.array_equal(uniforms, [u for _, u in expected])
-    assert bound.bit_generator.state == reference.bit_generator.state
 
 
 def test_slash_of_a_block_has_the_bits_of_slash_per_vector_view():
