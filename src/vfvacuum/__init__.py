@@ -10,7 +10,6 @@ from .constants import (
     read_override_table,
 )
 from .dirac import AnnihilationResult, decay_rate
-from .oscillator import OscillatorSpec, PhotonField
 from .permittivity import LaserSpec, PermittivityReport, eps0_total, photon_number_density
 from .vfmodel import VfCharacterization, characterize
 
@@ -22,9 +21,7 @@ __all__ = [
     "ConstantsSet",
     "LaserSpec",
     "LeptonSpecies",
-    "OscillatorSpec",
     "PermittivityReport",
-    "PhotonField",
     "VfCharacterization",
     "characterize",
     "constants_digest",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Mapping
 
@@ -21,20 +21,6 @@ class ConsistencyError(ValueError):
 
 
 LEPTON_NAMES = ("electron", "muon", "tau")
-
-CONSTANT_NAMES = (
-    "c_defined",
-    "h",
-    "hbar",
-    "e_charge",
-    "alpha",
-    "mu0",
-    "eps0_accepted",
-    "electronvolt",
-    "m_electron",
-    "m_muon",
-    "m_tau",
-)
 
 # Lepton masses (kg) accepted by load_constants. Every invariant check row of
 # the report passes from 10^-82.4 to 10^21.4 kg for each lepton; outside that
@@ -121,6 +107,9 @@ class ConstantsSet:
     def from_natural(self, value: float, dimension: str) -> float:
         """Convert a natural-unit value back to SI."""
         return value / self._natural_scale(dimension)
+
+
+CONSTANT_NAMES = tuple(field.name for field in fields(ConstantsSet))
 
 
 def pinned_constants_text() -> str:

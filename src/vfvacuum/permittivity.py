@@ -62,35 +62,6 @@ def annihilation_rate_closed_form(species: LeptonSpecies, constants: ConstantsSe
     return constants.alpha**5 * species.mass_energy / constants.hbar
 
 
-def interaction_probability_linearized(
-    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
-) -> float:
-    """Rate-lifetime product Gamma * dt of a pair record and its ``decay`` (a ``decay_rate``
-    result), the small exponent of the interaction probability; algebraically alpha^5/4."""
-    return constants.from_natural(decay.gamma, "rate") * pair.lifetime
-
-
-def effective_density(
-    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
-) -> float:
-    """Density of pairs that actually interact: number density times the
-    linearized interaction probability."""
-    return pair.number_density * interaction_probability_linearized(pair, constants, decay)
-
-
-def _species_contribution(
-    pair: vfmodel.VfCharacterization, constants: ConstantsSet, decay: dirac.AnnihilationResult
-) -> SpeciesContribution:
-    """One species' permittivity contribution: effective density times the
-    dipole response per unit field, from its pair record and held ``decay_rate`` result."""
-    charge = pair.species.charge_magnitude
-    dipole_per_field = oscillator.species_dipole(pair, constants, oscillator.PhotonField(1.0, charge))
-    n_vf = effective_density(pair, constants, decay)
-    return SpeciesContribution(
-        pair.species.name, n_vf, dipole_per_field, n_vf * dipole_per_field, decay, pair
-    )
-
-
 def eps0_contribution_closed_form(constants: ConstantsSet) -> float:
     """Closed form 8^3 alpha e^2/(hbar c) of the per-species contribution."""
     return 512.0 * constants.alpha * constants.e_charge**2 / (constants.hbar * constants.c_defined)
@@ -102,7 +73,13 @@ def eps0_total(constants: ConstantsSet) -> PermittivityReport:
     leptons = constants.leptons()
     decays = dirac.decay_rate(leptons, constants)  # one batched pass for all three
     pairs = [vfmodel.characterize(s, constants) for s in leptons]  # one record per lepton
-    per_species = [_species_contribution(p, constants, d) for p, d in zip(pairs, decays)]
+    per_species = []
+    for pair, decay in zip(pairs, decays):
+        dipole = oscillator.species_dipole(pair)  # per unit field
+        # Effective density: number density times the rate-lifetime product Gamma*dt, the
+        # linearized interaction probability (algebraically alpha^5/4).
+        n_vf = pair.number_density * (constants.from_natural(decay.gamma, "rate") * pair.lifetime)
+        per_species.append(SpeciesContribution(pair.species.name, n_vf, dipole, n_vf * dipole, decay, pair))
     contributions = [entry.contribution for entry in per_species]
     # The one guard: c_calculated needs it. Mass cancellation and the alpha-vs-mu0
     # agreement are the report rows per-species-equality and alpha-vs-mu0-closed-form.

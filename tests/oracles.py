@@ -35,8 +35,6 @@ from sympy.physics.matrices import mgamma
 
 from vfvacuum.constants import ConstantsSet, LeptonSpecies
 from vfvacuum.dirac import AnnihilationResult
-from vfvacuum.oscillator import OscillatorSpec, PhotonField
-from vfvacuum.permittivity import interaction_probability_linearized
 from vfvacuum.vfmodel import VfCharacterization, resonant_frequency
 
 m, w, a, b = sympy.symbols("m w a b", positive=True)
@@ -84,25 +82,31 @@ def _dimensionless_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _diagonalized_ground_state(
-    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet, basis_size: int
+    reduced_mass: float, omega0: float, field: float, charge: float, constants: ConstantsSet, basis_size: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ground state of the full Hamiltonian in the number basis truncated at
-    ``basis_size`` levels, the position matrix and the oscillator length.
+    """Ground state of the oscillator (reduced mass in kg, omega0 in rad/s) coupled to
+    a charge (C) in a frozen field (V/m), in the number basis truncated at
+    ``basis_size`` levels, with the position matrix and the oscillator length.
 
     Works in dimensionless oscillator units so the matrix is well scaled
     regardless of the SI magnitudes involved.
     """
     if int(basis_size) != basis_size or basis_size < 8:
         raise ValueError("basis_size must be an integer >= 8")
-    length = math.sqrt(constants.hbar / (spec.reduced_mass * spec.omega0))
-    strength = photon.charge * photon.e_field_at_interaction * length / (constants.hbar * spec.omega0)
+    length = math.sqrt(constants.hbar / (reduced_mass * omega0))
+    strength = charge * field * length / (constants.hbar * omega0)
     x, _ = _dimensionless_operators(basis_size)
     _, vectors = np.linalg.eigh(np.diag(np.arange(basis_size) + 0.5) - strength * x)
     return vectors[:, 0], x, length
 
 
 def dipole_oracle(
-    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet, basis_size: int = 64
+    reduced_mass: float,
+    omega0: float,
+    field: float,
+    charge: float,
+    constants: ConstantsSet,
+    basis_size: int = 64,
 ) -> float:
     """Dipole moment from brute-force diagonalization of the full Hamiltonian.
 
@@ -110,17 +114,15 @@ def dipole_oracle(
     matrix of the oscillator plus the linear field coupling, diagonalizes it,
     and evaluates q<x> in the true ground state.
     """
-    ground, x, length = _diagonalized_ground_state(spec, photon, constants, basis_size)
-    return photon.charge * length * float(ground @ x @ ground)
+    ground, x, length = _diagonalized_ground_state(reduced_mass, omega0, field, charge, constants, basis_size)
+    return charge * length * float(ground @ x @ ground)
 
 
 def ground_state_uncertainty_product(
-    spec: OscillatorSpec, constants: ConstantsSet, photon: PhotonField | None = None, basis_size: int = 64
+    reduced_mass: float, omega0: float, constants: ConstantsSet, basis_size: int = 64
 ) -> float:
-    """Delta-x * Delta-p of the diagonalized ground state (hbar/2 at zero field)."""
-    if photon is None:
-        photon = PhotonField(0.0, constants.e_charge)
-    ground, _, _ = _diagonalized_ground_state(spec, photon, constants, basis_size)
+    """Delta-x * Delta-p of the diagonalized zero-field ground state (hbar/2)."""
+    ground, _, _ = _diagonalized_ground_state(reduced_mass, omega0, 0.0, 0.0, constants, basis_size)
     x, p = _dimensionless_operators(basis_size)
     g = ground.astype(complex)
     x_mean = (g.conj() @ x @ g).real
@@ -130,25 +132,24 @@ def ground_state_uncertainty_product(
     return constants.hbar * math.sqrt(x_sq - x_mean**2) * math.sqrt(p_sq - p_mean**2)
 
 
-def oscillator_for_species(species: LeptonSpecies, constants: ConstantsSet) -> OscillatorSpec:
-    return OscillatorSpec(reduced_mass=species.reduced_mass, omega0=resonant_frequency(species, constants))
+def oscillator_for_species(species: LeptonSpecies, constants: ConstantsSet) -> tuple[float, float]:
+    """The species' oscillator: its pair's reduced mass (kg) and resonant frequency (rad/s)."""
+    return species.reduced_mass, resonant_frequency(species, constants)
 
 
-def energy_level(spec: OscillatorSpec, n: int, constants: ConstantsSet) -> float:
+def energy_level(omega0: float, n: int, constants: ConstantsSet) -> float:
     """Oscillator eigenvalue hbar*omega0*(n + 1/2)."""
     if int(n) != n or n < 0:
         raise ValueError("level index must be a non-negative integer")
-    return constants.hbar * spec.omega0 * (n + 0.5)
+    return constants.hbar * omega0 * (n + 0.5)
 
 
 def perturbed_ground_state_coefficient(
-    spec: OscillatorSpec, photon: PhotonField, constants: ConstantsSet
+    reduced_mass: float, omega0: float, field: float, charge: float, constants: ConstantsSet
 ) -> float:
     """First-order amplitude of the first excited state in the polarized
     ground state; the only level mixed in by a field linear in x."""
-    return photon.charge * photon.e_field_at_interaction / math.sqrt(
-        2.0 * spec.reduced_mass * constants.hbar * spec.omega0**3
-    )
+    return charge * field / math.sqrt(2.0 * reduced_mass * constants.hbar * omega0**3)
 
 
 def binding_energy_alpha_form(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -162,7 +163,7 @@ def interaction_probability(
     """Probability that a pair interacts with a photon during its lifetime,
     1 - exp(-Gamma*dt)."""
     # expm1 keeps the ~5e-12 exponent from drowning in the 1-ulp of 1.0.
-    return -math.expm1(-interaction_probability_linearized(pair, constants, decay))
+    return -math.expm1(-constants.from_natural(decay.gamma, "rate") * pair.lifetime)
 
 
 def effective_density_closed_form(species: LeptonSpecies, constants: ConstantsSet) -> float:

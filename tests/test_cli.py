@@ -204,8 +204,8 @@ def test_unequal_species_contributions_fail_a_check(monkeypatch):
     skewed muon fails it with exit 1, not an input error."""
     dipole = oscillator.species_dipole
 
-    def skewed(pair, constants, field):
-        value = dipole(pair, constants, field)
+    def skewed(pair):
+        value = dipole(pair)
         return value * (1.0 + 1e-8) if pair.species.name == "muon" else value
 
     monkeypatch.setattr(oscillator, "species_dipole", skewed)

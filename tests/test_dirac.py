@@ -706,9 +706,16 @@ def test_verification_suite_independent_of_block_size(monkeypatch):
 
 
 def test_verification_suite_seed_changes_draws():
+    """Seeds 1 and 2 draw different trials: the six rows no draw enters read the same,
+    and most randomized rows read differently (11 of the 12 at 50 trials; the
+    polarization-sum count reads exactly 0 on both)."""
     a = dirac.verification_suite(trials=50, seed=1)
     b = dirac.verification_suite(trials=50, seed=2)
     assert [row.name for row in a] == [row.name for row in b]
+    fixed = {row.name for row in dirac._seed_independent()[0]}
+    moved = {first.name for first, second in zip(a, b) if first.measured != second.measured}
+    assert not moved & fixed
+    assert len(moved) > (len(a) - len(fixed)) / 2, sorted(moved)
 
 
 def test_suite_sections_draw_apart_from_trace_identities(monkeypatch):

@@ -10,10 +10,8 @@ from vfvacuum.constants import ConsistencyError, load_constants
 from vfvacuum.permittivity import (
     LaserSpec,
     annihilation_rate_closed_form,
-    effective_density,
     eps0_contribution_closed_form,
     eps0_total,
-    interaction_probability_linearized,
     photon_number_density,
 )
 
@@ -23,19 +21,21 @@ def report_entry(species, constants):
     return eps0_total(constants).per_species[constants.leptons().index(species)]
 
 
+def rate_lifetime_product(entry, constants):
+    """Gamma * dt of a report entry's decay and pair records: the small exponent of the
+    interaction probability."""
+    return constants.from_natural(entry.decay.gamma, "rate") * entry.pair.lifetime
+
+
 def test_rate_lifetime_product_is_alpha_fifth_over_four(constants, electron):
-    decay = dirac.decay_rate(electron, constants)
-    pair = vfmodel.characterize(electron, constants)
-    product = interaction_probability_linearized(pair, constants, decay)
+    product = rate_lifetime_product(report_entry(electron, constants), constants)
     assert product == pytest.approx(constants.alpha**5 / 4.0, rel=1e-12)
 
 
 def test_probability_bounds_and_linearization(constants):
-    for species in constants.leptons():
-        decay = dirac.decay_rate(species, constants)
-        pair = vfmodel.characterize(species, constants)
-        exact = oracles.interaction_probability(pair, constants, decay)
-        linear = interaction_probability_linearized(pair, constants, decay)
+    for entry in eps0_total(constants).per_species:
+        exact = oracles.interaction_probability(entry.pair, constants, entry.decay)
+        linear = rate_lifetime_product(entry, constants)
         assert 0.0 < exact < 1.0
         # difference is the quadratic term of the exponential, ~(Gamma dt)^2/2
         assert abs(exact - linear) < 1e-20
@@ -43,30 +43,20 @@ def test_probability_bounds_and_linearization(constants):
 
 
 def test_effective_density_electron(constants, electron):
-    value = effective_density(
-        vfmodel.characterize(electron, constants), constants, dirac.decay_rate(electron, constants)
-    )
+    value = report_entry(electron, constants).n_vf
     assert value == pytest.approx(5.8e27, rel=2e-2)
     assert value == pytest.approx(oracles.effective_density_closed_form(electron, constants), rel=1e-12)
 
 
 def test_effective_density_is_density_times_probability(constants, electron):
-    decay, pair = dirac.decay_rate(electron, constants), vfmodel.characterize(electron, constants)
-    assert effective_density(pair, constants, decay) == pytest.approx(
-        vfmodel.number_density(electron, constants)
-        * interaction_probability_linearized(pair, constants, decay),
-        rel=1e-12,
+    entry = report_entry(electron, constants)
+    assert entry.n_vf == pytest.approx(
+        vfmodel.number_density(electron, constants) * rate_lifetime_product(entry, constants), rel=1e-12
     )
 
 
 def test_effective_density_mass_cubed_scaling(constants, electron, muon):
-    electron_density = effective_density(
-        vfmodel.characterize(electron, constants), constants, dirac.decay_rate(electron, constants)
-    )
-    muon_density = effective_density(
-        vfmodel.characterize(muon, constants), constants, dirac.decay_rate(muon, constants)
-    )
-    ratio = muon_density / electron_density
+    ratio = report_entry(muon, constants).n_vf / report_entry(electron, constants).n_vf
     assert ratio == pytest.approx((muon.mass / electron.mass) ** 3, rel=1e-9)
 
 
@@ -197,10 +187,10 @@ def test_eps0_total_carries_one_decay_per_species(constants):
     report = eps0_total(constants)
     for entry, species in zip(report.per_species, constants.leptons()):
         assert entry.decay == dirac.decay_rate(species, constants)
-        assert entry.n_vf == effective_density(
-            vfmodel.characterize(species, constants), constants, dirac.decay_rate(species, constants)
-        )
         assert entry.pair == vfmodel.characterize(species, constants)
+        assert entry.n_vf == entry.pair.number_density * rate_lifetime_product(entry, constants)
+        assert entry.dipole_per_field == oscillator.species_dipole(entry.pair)
+        assert entry.contribution == entry.n_vf * entry.dipole_per_field
         assert entry.contribution == report_entry(species, constants).contribution
 
 
