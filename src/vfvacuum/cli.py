@@ -100,7 +100,7 @@ def _document(args: argparse.Namespace, constants, overrides) -> dict:
             power=args.power, wavelength=args.wavelength, beam_radius=args.radius
         )
         density = permittivity.photon_number_density(laser, constants)
-        electron_density = vfmodel.number_density(constants.lepton("electron"), constants)
+        electron_density = vfmodel.characterize(constants.lepton("electron"), constants).number_density
         return {
             "laser": {
                 "power_W": laser.power,

@@ -27,9 +27,8 @@ LEPTON_NAMES = ("electron", "muon", "tau")
 # the decay pipeline under- or overflows.
 LEPTON_MASS_DOMAIN = (1e-80, 1e20)
 
-# Natural-unit convention: energies and masses in MeV, lengths and times in
-# 1/MeV, rates in MeV.
-NATURAL_DIMENSIONS = ("energy", "mass", "length", "time", "rate")
+# Natural-unit convention: masses and rates in MeV.
+NATURAL_DIMENSIONS = ("mass", "rate")
 
 # Located once per process; pinned_constants_text still reads it on every call.
 _PINNED_FILE = resources.files("vfvacuum.data").joinpath("si_constants.txt")
@@ -86,14 +85,8 @@ class ConstantsSet:
     def _natural_scale(self, dimension: str) -> float:
         """Multiplier taking an SI value to MeV-based natural units."""
         mev = self.electronvolt * 1e6
-        if dimension == "energy":
-            return 1.0 / mev
         if dimension == "mass":
             return self.c_defined**2 / mev
-        if dimension == "length":
-            return mev / (self.hbar * self.c_defined)
-        if dimension == "time":
-            return mev / self.hbar
         if dimension == "rate":
             return self.hbar / mev
         raise ValueError(

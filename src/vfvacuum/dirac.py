@@ -56,7 +56,7 @@ DEFAULT_REGULARIZATION_WIDTHS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 
 # Trials drawn and evaluated together by the verification suites, bounding their memory.
-_BLOCK = 1024
+_BLOCK = 1000
 
 
 Floats = float | np.ndarray  # one value, or a stack of them
@@ -106,9 +106,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def slash(a: np.ndarray) -> np.ndarray:
     """Contraction a_mu gamma^mu with index lowering by the metric: a 4x4
-    matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components."""
+    matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components. One real product
+    with a (4, 32) table of each entry's real part followed by its imaginary part, read back
+    as complex: OpenBLAS runs a complex product the size of a suite block's on a second
+    thread, which costs more than the product itself."""
     v = np.asarray(a, dtype=float)
-    return (v.reshape(-1, 4) @ _GAMMA_LOWERED.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
+    table = _GAMMA_LOWERED.reshape(4, 16).view(float)
+    return (v.reshape(-1, 4) @ table).view(complex).reshape(v.shape[:-1] + (4, 4))
 
 
 def spinor(kind: str, momentum: np.ndarray, spin: str, mass: float | np.ndarray) -> np.ndarray:
@@ -366,14 +370,6 @@ def cross_section_coefficient(
     return _float_or_array(factor * np.float_power(mass, 2) / math.pi)
 
 
-def wavefunction_at_origin(mass: float, alpha: float) -> float:
-    """Squared ground-state wave function of the bound pair at zero
-    separation, (1/pi) (alpha m / 2)^3 in natural units."""
-    if not (mass > 0.0) or alpha < 0.0:
-        raise ValueError("mass must be positive and alpha non-negative")
-    return (alpha * mass / 2.0) ** 3 / math.pi
-
-
 def decay_rate(
     species: LeptonSpecies | tuple[LeptonSpecies, ...], constants: ConstantsSet
 ) -> AnnihilationResult | tuple[AnnihilationResult, ...]:
@@ -391,7 +387,8 @@ def decay_rate(
     results = []
     for entry, mass, coefficient in zip(group, masses, coefficients):
         sigma_times_velocity = coefficient * math.pi * constants.alpha**2 / mass**2
-        gamma_natural = sigma_times_velocity * wavefunction_at_origin(mass, constants.alpha)
+        # Times |psi(0)|^2 = (alpha m / 2)^3 / pi, the squared ground-state wave function at the origin.
+        gamma_natural = sigma_times_velocity * ((constants.alpha * mass / 2.0) ** 3 / math.pi)
         rate_si = constants.from_natural(gamma_natural, "rate")
         results.append(AnnihilationResult(entry.name, coefficient, gamma_natural, lifetime=1.0 / rate_si))
     return tuple(results) if isinstance(species, tuple) else results[0]

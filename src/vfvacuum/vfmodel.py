@@ -17,12 +17,12 @@ from .constants import ConstantsSet, LeptonSpecies
 class VfCharacterization:
     species: LeptonSpecies
     binding_energy: float  # J, negative
-    omega0: float  # rad/s
-    creation_energy: float  # J
-    lifetime: float  # s
-    length: float  # m
+    omega0: float  # rad/s; the level spacing hbar*omega0 equals |binding energy|
+    creation_energy: float  # J, 2 m c^2 borrowed to create the pair at rest (binding neglected)
+    lifetime: float  # s, hbar / (2 * creation energy)
+    length: float  # m, light travel in one lifetime, the pair's trembling amplitude hbar/(4 m c)
     volume: float  # m^3
-    number_density: float  # 1/m^3
+    number_density: float  # 1/m^3, one pair per volume
 
 
 def binding_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
@@ -45,42 +45,16 @@ def binding_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
     raise ValueError(f"the {species.name} pair's binding energy is out of float range")
 
 
-def resonant_frequency(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Effective oscillator frequency: level spacing equals |binding energy|."""
-    return species.mass * constants.alpha**2 * constants.c_defined**2 / (4.0 * constants.hbar)
-
-
-def creation_energy(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Energy borrowed to create the pair at rest, 2*m*c^2 (binding neglected)."""
-    return 2.0 * species.mass_energy
-
-
-def vf_lifetime(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Average lifetime of the pair, hbar/(2 * creation energy)."""
-    return constants.hbar / (4.0 * species.mass_energy)
-
-
-def vf_length(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """Light-travel distance during the lifetime; also the internal trembling
-    amplitude that sets the pair's size, hbar/(4*m*c)."""
-    return constants.hbar / (4.0 * species.mass * constants.c_defined)
-
-
-def number_density(species: LeptonSpecies, constants: ConstantsSet) -> float:
-    """One pair per pair volume: 1/length^3."""
-    return 1.0 / vf_length(species, constants) ** 3
-
-
 def characterize(species: LeptonSpecies, constants: ConstantsSet) -> VfCharacterization:
     """Aggregate every per-species quantity. Its identities hold by construction
     on an audited ``ConstantsSet``, so none is re-checked here."""
-    length = vf_length(species, constants)
+    length = constants.hbar / (4.0 * species.mass * constants.c_defined)
     return VfCharacterization(
         species=species,
         binding_energy=binding_energy(species, constants),
-        omega0=resonant_frequency(species, constants),
-        creation_energy=creation_energy(species, constants),
-        lifetime=vf_lifetime(species, constants),
+        omega0=species.mass * constants.alpha**2 * constants.c_defined**2 / (4.0 * constants.hbar),
+        creation_energy=2.0 * species.mass_energy,
+        lifetime=constants.hbar / (4.0 * species.mass_energy),
         length=length,
         volume=length**3,
         number_density=1.0 / length**3,

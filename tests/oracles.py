@@ -35,7 +35,7 @@ from sympy.physics.matrices import mgamma
 
 from vfvacuum.constants import ConstantsSet, LeptonSpecies
 from vfvacuum.dirac import AnnihilationResult
-from vfvacuum.vfmodel import VfCharacterization, resonant_frequency
+from vfvacuum.vfmodel import VfCharacterization, characterize
 
 m, w, a, b = sympy.symbols("m w a b", positive=True)
 
@@ -134,7 +134,7 @@ def ground_state_uncertainty_product(
 
 def oscillator_for_species(species: LeptonSpecies, constants: ConstantsSet) -> tuple[float, float]:
     """The species' oscillator: its pair's reduced mass (kg) and resonant frequency (rad/s)."""
-    return species.reduced_mass, resonant_frequency(species, constants)
+    return species.reduced_mass, characterize(species, constants).omega0
 
 
 def energy_level(omega0: float, n: int, constants: ConstantsSet) -> float:

@@ -118,9 +118,9 @@ def test_06_polarization_and_phase_space():
 
 
 def test_07_vf_tables(constants, electron, tau):
-    n_e = vfmodel.number_density(electron, constants)
-    n_tau = vfmodel.number_density(tau, constants)
-    dt_e = vfmodel.vf_lifetime(electron, constants)
+    electron_pair = vfmodel.characterize(electron, constants)
+    n_e, dt_e = electron_pair.number_density, electron_pair.lifetime
+    n_tau = vfmodel.characterize(tau, constants).number_density
     ok = (
         abs(n_e / 1.12e39 - 1.0) <= 0.02
         and abs(n_tau / 4.70e49 - 1.0) <= 0.02
@@ -177,7 +177,7 @@ def test_09_mass_independence(constants):
 def test_10_laser_comparison(constants, electron):
     laser = permittivity.LaserSpec(power=6000.0, wavelength=10e-6, beam_radius=0.16e-3)
     density = permittivity.photon_number_density(laser, constants)
-    n_e = vfmodel.number_density(electron, constants)
+    n_e = vfmodel.characterize(electron, constants).number_density
     ok = 1e21 <= density <= 1e23 and density < n_e
     judge(
         "laser comparison",

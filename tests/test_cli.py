@@ -317,7 +317,7 @@ SUBCOMMAND_BYTES = [
      "d64b14a79a00ad9cd85efc38dd11c45711fe04196233ed85b9e79b2040e8ae84"),
     ("trace-check --trials 50 --seed 3", "text", 0,
      "57aaaed178228b5858ecbff413755e66a5c18f2f9ec6c267cf021cdf42647777"),
-    # One trial past a block of 1024.
+    # Past the first block of trials.
     ("trace-check --trials 1025 --seed 7", "json", 0,
      "0b4c7654075e876ddec84b8bf2ae772390549abe7f8484359f8e487f354508bb"),
     # The benchmark's verify-warm shape: 1000 trials, at the smallest, a middle and the largest seed.

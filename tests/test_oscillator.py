@@ -153,11 +153,9 @@ def test_ground_state_uncertainty_product(constants, electron_spec):
 
 
 def test_species_dipole_electron_value(constants, electron, electron_spec):
-    from vfvacuum.vfmodel import resonant_frequency
-
-    omega = resonant_frequency(electron, constants)
-    expected = (constants.e_charge**2 / electron.reduced_mass) / omega**2
-    value = oscillator.species_dipole(characterize(electron, constants))
+    pair = characterize(electron, constants)
+    expected = (constants.e_charge**2 / electron.reduced_mass) / pair.omega0**2
+    value = oscillator.species_dipole(pair)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(
         oracles.dipole_oracle(*electron_spec, 1.0, constants.e_charge, constants), rel=1e-6

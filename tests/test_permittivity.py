@@ -51,7 +51,8 @@ def test_effective_density_electron(constants, electron):
 def test_effective_density_is_density_times_probability(constants, electron):
     entry = report_entry(electron, constants)
     assert entry.n_vf == pytest.approx(
-        vfmodel.number_density(electron, constants) * rate_lifetime_product(entry, constants), rel=1e-12
+        vfmodel.characterize(electron, constants).number_density * rate_lifetime_product(entry, constants),
+        rel=1e-12,
     )
 
 
@@ -210,7 +211,7 @@ def test_photon_density_linear_in_power(constants):
 
 def test_photon_density_below_vf_density(constants, electron):
     laser = LaserSpec(power=6000.0, wavelength=10e-6, beam_radius=0.16e-3)
-    assert photon_number_density(laser, constants) < vfmodel.number_density(electron, constants)
+    assert photon_number_density(laser, constants) < vfmodel.characterize(electron, constants).number_density
 
 
 def test_quark_note_is_fixed_text():

@@ -32,6 +32,7 @@ from vfvacuum.permittivity import (
     eps0_contribution_closed_form,
     eps0_total,
 )
+from vfvacuum.vfmodel import characterize
 
 EDGE_VALUES = ["5e-324", "1e-320", "1e-300", "1e300", "1e160", "1e-170", "inf", "-inf", "nan", "0", "-1"]
 MALFORMED = ["", "abc", "1e", "0x10", "1.2.3", "--", "e5"]
@@ -145,6 +146,18 @@ def test_pipeline_agrees_with_closed_forms_over_the_mass_domain(lepton_masses):
         pipeline_rate = constants.from_natural(entry.decay.gamma, "rate")
         assert _relative_to(pipeline_rate, annihilation_rate_closed_form(species, constants)) <= 1e-9
         assert _relative_to(entry.contribution, closed_contribution) <= 1e-9
+
+
+@settings(max_examples=100)
+@given(masses)
+@example(LEPTON_MASS_DOMAIN[0])
+@example(LEPTON_MASS_DOMAIN[1])
+def test_pair_record_identities_over_the_mass_domain(mass):
+    constants = load_constants({"m_electron": mass})
+    pair = characterize(constants.lepton("electron"), constants)
+    assert _relative_to(pair.lifetime * pair.creation_energy, constants.hbar / 2.0) <= 1e-12
+    assert _relative_to(pair.length, constants.c_defined * pair.lifetime) <= 1e-12
+    assert _relative_to(pair.number_density * pair.volume, 1.0) <= 1e-12
 
 
 # Exponents of (mass, length, time, charge) in the dimension of each constant.

@@ -71,13 +71,11 @@ def test_build_report_derives_each_pair_record_once(monkeypatch):
     no per-pair quantity is derived a second time along another chain."""
     constants = load_constants({"m_muon": 2.5e-28})
     calls = collections.Counter()
-    for module, name in ((vfmodel, "characterize"), (vfmodel, "vf_lifetime"),
-                         (vfmodel, "vf_length"), (vfmodel, "resonant_frequency"),
+    for module, name in ((vfmodel, "characterize"), (vfmodel, "binding_energy"),
                          (dirac, "decay_rate"), (ConstantsSet, "leptons")):
         count_calls(monkeypatch, calls, module, name)
     report.build_report(constants)
-    assert calls == {"characterize": 3, "vf_lifetime": 3, "vf_length": 3,
-                     "resonant_frequency": 3, "leptons": 1, "decay_rate": 1}
+    assert calls == {"characterize": 3, "binding_energy": 3, "leptons": 1, "decay_rate": 1}
 
 
 def test_photon_basis_and_pinned_file_are_located_once_per_process(monkeypatch):
