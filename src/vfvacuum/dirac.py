@@ -50,6 +50,12 @@ METRIC_DIAGONAL = (1.0, -1.0, -1.0, -1.0)
 # at most one nonzero real and one nonzero imaginary term, so it is exact in any order.
 _GAMMA_LOWERED = np.array(METRIC_DIAGONAL)[:, None, None] * np.stack(GAMMA)
 
+# Real form: a complex row times M is the row of interleaved (re, im) pairs times the 8x8 matrix of
+# 2x2 blocks (re, im; -im, re) of M's entries, so a @ this table is slash(a)'s real form. Each of
+# its 64 columns holds at most one +-1, so each entry of the form is one signed component, exact.
+_SLASH_REAL_FORM = np.stack([np.stack([_GAMMA_LOWERED.real, _GAMMA_LOWERED.imag], -1),
+                             np.stack([-_GAMMA_LOWERED.imag, _GAMMA_LOWERED.real], -1)], axis=2).reshape(4, 64)
+
 DEFAULT_REGULARIZATION_WIDTHS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 # Gauss-Legendre rule for the regularized phase-space integral over +-10 widths.
@@ -85,6 +91,12 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp through the C library, by way of numpy's complex exp, whose loop is the same on every
+    CPU: its float64 exp takes an AVX-512 loop where it can, and that rounds some inputs otherwise."""
+    return np.exp(x + 0j).real
+
+
 def _trace(m: np.ndarray) -> np.ndarray:
     """Trace over the last two axes, summed in the pairwise order ``np.trace`` uses on the complex
     stacks the engine traces, whose matrix axes are innermost; ``0.0 +`` gives its signed zeros."""
@@ -93,9 +105,8 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 4x4 matrices or stacks of them, as one matrix product when
-    one side is a single matrix: a stacked ``@`` calls the BLAS once per matrix.
-    Under OpenBLAS's SkylakeX kernel each entry is the same 4-term sum of products
-    either way; under its Haswell kernel some entries of the two differ in their last bits."""
+    one side is a single matrix, where a stacked ``@`` calls the BLAS once per matrix.
+    Two stacks (the projectors of an array of masses) multiply as a stacked ``@``."""
     if a.ndim == 2 and b.ndim > 2:
         rows = b.swapaxes(0, -2)  # each matrix's row index first; the order of the rest is immaterial
         return (a @ rows.reshape(4, -1)).reshape(rows.shape).swapaxes(0, -2)
@@ -113,6 +124,22 @@ def slash(a: np.ndarray) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     table = _GAMMA_LOWERED.reshape(4, 16).view(float)
     return (v.reshape(-1, 4) @ table).view(complex).reshape(v.shape[:-1] + (4, 4))
+
+
+def _times_slash(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ slash(a)``. For a stack of matrices and a stack of vectors, one real
+    (..., 4, 8) @ (..., 8, 8) product with slash(a)'s real form, read back as complex (written
+    into the complex stack ``out`` if given): per matrix, a real BLAS call costs about a fifth of
+    the complex one of a stacked ``@``. Where either is single, ``_matmul``'s one product."""
+    if x.ndim == 2 or a.ndim == 1:
+        return _matmul(x, slash(a))
+    real_form = (a.reshape(-1, 4) @ _SLASH_REAL_FORM).reshape(a.shape[:-1] + (8, 8))
+    return np.matmul(x.view(float), real_form, out=None if out is None else out.view(float)).view(complex)
+
+
+def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(a @ b) over the last two axes as the sum of a_ij b_ji, without forming the product."""
+    return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def spinor(kind: str, momentum: np.ndarray, spin: str, mass: float | np.ndarray) -> np.ndarray:
@@ -148,12 +175,14 @@ def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.
     a, b, c, d = np.moveaxis(vectors, 1, 0)
     scale = np.maximum(1.0, np.max(np.abs(_dot(vectors, vectors)), axis=-1))
     sa, sb, sc, sd = np.moveaxis(slash(vectors), 1, 0)
-    ab = sa @ sb
-    abc = ab @ sc
+    # ab and cd overwrite bslash and dslash, which nothing reads, so the block adds no array to
+    # the slashes: its heap use stays under twice its largest array, and glibc keeps that heap
+    # for the next block instead of trimming it (about 500 page faults per suite otherwise).
+    ab, cd = _times_slash(sa, b, out=sb), _times_slash(sc, d, out=sd)
     pair = np.abs(_trace(ab) - 4.0 * _dot(a, b)) / scale
     expected = 4.0 * (_dot(a, b) * _dot(c, d) - _dot(a, c) * _dot(b, d) + _dot(a, d) * _dot(b, c))
-    quartet = np.abs(_trace(abc @ sd) - expected) / scale**2
-    odd = np.abs(_trace(abc)) / scale**1.5
+    quartet = np.abs(_trace_of_product(ab, cd) - expected) / scale**2
+    odd = np.abs(_trace_of_product(ab, sc)) / scale**1.5
     return pair, quartet, odd
 
 
@@ -224,12 +253,10 @@ def squared_matrix_element(
     _require_polarization(e_f, k, "final polarization")
 
     rest, m = slash(m * _PAIR_AT_REST), m[..., None]
-    ei, ef, ks = slash(e_i), slash(e_f), slash(k)
-    commutator = _matmul(ei, ef) - _matmul(ef, ei)
-    reversed_commutator = -commutator
-    # Multiplied left to right, as the trace reads.
-    chain = (rest - m * IDENTITY, commutator, ks, rest + m * IDENTITY, ks, reversed_commutator)
-    trace = _trace(functools.reduce(_matmul, chain))
+    commutator = _times_slash(slash(e_i), e_f) - _times_slash(slash(e_f), e_i)
+    # Multiplied left to right, as the trace reads; the last product is only traced.
+    chain = _times_slash(_matmul(_times_slash(_matmul(rest - m * IDENTITY, commutator), k), rest + m * IDENTITY), k)
+    trace = _trace_of_product(chain, -commutator)
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
         raise RuntimeError(f"squared amplitude trace has a non-real part: {trace[non_real][0]}")
@@ -332,8 +359,8 @@ def phase_space_width_study(
         upper = w + 10.0 * width
         half = 0.5 * (upper - lower)
         kk = half * _GAUSS_NODES + 0.5 * (upper + lower)
-        integrand = 4.0 * math.pi * kk**2 / (4.0 * w**2) * norm * np.exp(-0.5 * ((kk - w) / width) ** 2)
-        results.append((relative_width, float(half * (_GAUSS_WEIGHTS @ integrand))))
+        integrand = 4.0 * math.pi * kk**2 / (4.0 * w**2) * norm * _exp(-0.5 * ((kk - w) / width) ** 2)
+        results.append((relative_width, half * math.fsum(_GAUSS_WEIGHTS * integrand)))
     return results
 
 
@@ -407,7 +434,7 @@ def _slash_square_residuals(rng: np.random.Generator, count: int) -> tuple[np.nd
     aa, ab, bb = _dot(a, a), _dot(a, b), _dot(b, b)
     scale = np.maximum(1.0, np.maximum(np.abs(aa), np.abs(bb)))
     sa, sb = np.moveaxis(slash(vectors), 1, 0)
-    square, pair = sa @ sa, sa @ sb + sb @ sa
+    square, pair = _times_slash(sa, a), _times_slash(sa, b) + _times_slash(sb, a)
     square[:, range(4), range(4)] -= aa[:, None]
     pair[:, range(4), range(4)] -= 2.0 * ab[:, None]
     return (np.maximum(np.max(np.abs(square), axis=(1, 2)), np.max(np.abs(pair), axis=(1, 2))) / scale,)
@@ -415,7 +442,7 @@ def _slash_square_residuals(rng: np.random.Generator, count: int) -> tuple[np.nd
 
 def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
     u = rng.random((count, 4))
-    mass = np.exp(2.0 * u[:, 0] - 1.0)  # log-uniform in [1/e, e)
+    mass = _exp(2.0 * u[:, 0] - 1.0)  # log-uniform in [1/e, e)
     p3 = mass[:, None] * (4.0 * u[:, 1:] - 2.0)  # each component uniform in [-2m, 2m)
     momentum = np.concatenate([np.sqrt(mass**2 + _inner(p3, p3))[:, None], p3], axis=-1)
     pslash, m = slash(momentum), mass[:, None, None]
@@ -441,11 +468,16 @@ def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.nda
 
 def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
     e1, e2 = _PHOTON_Z_BASIS
-    q, r = np.linalg.qr(rng.normal(size=(count, 3, 3)))
-    rotation = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    rotation[:, :, 0] *= np.where(np.linalg.det(rotation) < 0, -1.0, 1.0)[:, None]  # proper rotations
-    rotated = [np.concatenate([np.full((count, 1), v[0]), rotation @ v[1:]], axis=-1)
-               for v in (e1, e2, _PHOTON_Z)]
+    # A normal 4-vector points uniformly on the 3-sphere, so its quaternion is a uniform rotation
+    # (Shoemake 1992), built here without normalizing q: s = 2 / |q|^2.
+    q = rng.normal(size=(count, 4))
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    s = 2.0 / _inner(q, q)
+    rotation = np.stack([1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y),
+                         s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x),
+                         s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)], axis=-1)
+    rotated = [np.concatenate([np.full((count, 1), v[0]), (rotation.reshape(count, 3, 3) * v[1:]).sum(axis=-1)],
+                              axis=-1) for v in (e1, e2, _PHOTON_Z)]
     value = squared_matrix_element(*rotated, 1.0)
     return (np.abs(value - _seed_independent()[1]) / 2.0,)  # against the unrotated amplitude
 
@@ -455,7 +487,7 @@ def _polarization_sum_residuals(rng: np.random.Generator, count: int) -> tuple[n
     cos, phi = 2.0 * u[:, 0] - 1.0, 2.0 * math.pi * u[:, 1]  # an isotropic direction
     sin = np.sqrt(1.0 - cos**2)
     direction = np.stack([sin * np.cos(phi), sin * np.sin(phi), cos], axis=-1)
-    energy = np.exp(2.0 * u[:, 2:] - 1.0)  # log-uniform in [1/e, e)
+    energy = _exp(2.0 * u[:, 2:] - 1.0)  # log-uniform in [1/e, e)
     sum_one, sum_dot = polarization_sums(np.concatenate([energy, energy * direction], axis=-1))
     return np.abs(sum_one - 4.0), np.abs(sum_dot - 2.0)
 

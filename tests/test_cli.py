@@ -314,21 +314,21 @@ SUBCOMMAND_BYTES = [
     ("constants", "json", 0, "505f80eefa2a0341674fa26b6574d1d910a209fe745f592370d38658da16212e"),
     ("constants", "text", 0, "9790cb198b56a0ccf898bd9aa36bd892429d3f04147201ccf1f098f97298e741"),
     ("trace-check --trials 50 --seed 3", "json", 0,
-     "d64b14a79a00ad9cd85efc38dd11c45711fe04196233ed85b9e79b2040e8ae84"),
+     "24a41b4713c76fe464a7af8b1bb8cb381c8850ce947da3d4ed172b8dbb87fdc8"),
     ("trace-check --trials 50 --seed 3", "text", 0,
-     "57aaaed178228b5858ecbff413755e66a5c18f2f9ec6c267cf021cdf42647777"),
+     "604740cc5aec6ffd7dd87b1129ad05b9a9aeb99d73880a42c444e295b77dcf6b"),
     # Past the first block of trials.
     ("trace-check --trials 1025 --seed 7", "json", 0,
-     "0b4c7654075e876ddec84b8bf2ae772390549abe7f8484359f8e487f354508bb"),
+     "c7dddc6e26e6629be03190d9ff3c782a79ae608a762b0b37fdeaf01388bef444"),
     # The benchmark's verify-warm shape: 1000 trials, at the smallest, a middle and the largest seed.
     ("trace-check --trials 1000 --seed 0", "json", 0,
-     "d05d7a11570c7e3adda6b5706f07e91634d0cbea145155544f0261a672ad1e5c"),
+     "85c30e35490a5a4cffb393c0ae7770efb3bca0070091482e43e745e5a9408f53"),
     ("trace-check --trials 1000 --seed 0", "text", 0,
-     "4c8c250ff9dc14fafc91030cbba15bf24927d7c85062721cc37d9863e054063a"),
+     "28dfc9c2bf8ab54404cf29a7f335aa7de3459450251b6b94451b504c3954e402"),
     ("trace-check --trials 1000 --seed 1234", "json", 0,
-     "bf2692468e3fd482def5e7d6fa1a6a210bbe82886249d2f8c08121bcd98a84fa"),
+     "b9cc53a3c8f9b0e154693a1958f57d21794d33d7b5f60b77689838f6965e2b96"),
     ("trace-check --trials 1000 --seed 2147483647", "json", 0,
-     "c8b3c410de0a00f488ed13865d553f19a635ac91f757233a8c36baff61f3598e"),
+     "703bfe19bcdbb97dc5dfcfb4252cceabff9da6e87305db5467840688149a6ada"),
 ]
 
 

@@ -141,21 +141,29 @@ def test_trace_identities_report():
 
 
 def test_trace_identities_match_per_trial_loop():
-    """Reference: the per-trial loop over scalar slash calls, drawing each
-    trial's four vectors in turn; the suite's first section must draw the same
-    numbers in the same order and give the same residuals."""
+    """Reference: the per-trial loop drawing each trial's four vectors in turn and evaluating
+    each trial as a stack of one, through the same real-form products and product-free
+    traces; the suite's first section must draw the same numbers in the same order and give
+    the same residuals, bit for bit. Each trial's traces also stay within a few ulps of
+    ``np.trace`` over complex products."""
     rng = np.random.default_rng(21)
     worst = [0.0, 0.0, 0.0]
+    ulps = 32 * np.finfo(float).eps
     for _ in range(300):
-        a, b, c, d = (random_four_vector(rng) for _ in range(4))
-        scale = max(1.0, *(abs(minkowski(v, v)) for v in (a, b, c, d)))
-        pair = np.trace(slash(a) @ slash(b))
-        quartet = np.trace(slash(a) @ slash(b) @ slash(c) @ slash(d))
+        a, b, c, d = (random_four_vector(rng)[None] for _ in range(4))
+        scale = max(1.0, *(abs(minkowski(v[0], v[0])) for v in (a, b, c, d)))
+        ab, cd = dirac._times_slash(slash(a), b), dirac._times_slash(slash(c), d)
+        pair = dirac._trace(ab)[0]
+        quartet, odd = dirac._trace_of_product(ab, cd)[0], dirac._trace_of_product(ab, slash(c))[0]
+        a, b, c, d = a[0], b[0], c[0], d[0]
+        complex_ab = slash(a) @ slash(b)
+        assert abs(pair - np.trace(complex_ab)) <= ulps * scale
+        assert abs(quartet - np.trace(complex_ab @ slash(c) @ slash(d))) <= ulps * scale**2
+        assert abs(odd - np.trace(complex_ab @ slash(c))) <= ulps * scale**1.5
         expected = 4.0 * (minkowski(a, b) * minkowski(c, d) - minkowski(a, c) * minkowski(b, d)
                           + minkowski(a, d) * minkowski(b, c))
-        odd = max(abs(np.trace(slash(a))) / scale, abs(np.trace(slash(a) @ slash(b) @ slash(c))) / scale**1.5)
         worst = [max(worst[0], abs(pair - 4.0 * minkowski(a, b)) / scale),
-                 max(worst[1], abs(quartet - expected) / scale**2), max(worst[2], odd)]
+                 max(worst[1], abs(quartet - expected) / scale**2), max(worst[2], abs(odd) / scale**1.5)]
     assert [row.measured for row in verification_suite(trials=300, seed=21)[2:5]] == worst
 
 
@@ -811,6 +819,49 @@ def test_slash_of_a_block_has_the_bits_of_slash_per_vector_view():
                 finite = np.isfinite(view).all(axis=-1)
                 complex_product = view[finite] @ dirac._GAMMA_LOWERED.reshape(4, 16)
                 assert_same_bits(block[finite, i], complex_product.reshape(-1, 4, 4))
+
+
+def test_slash_real_form_is_the_interleaved_embedding():
+    """a @ the real-form table equals, entry for entry, the 8x8 matrix of 2x2 blocks
+    (re, im; -im, re) of slash(a)'s entries: each entry is one signed component."""
+    rng = np.random.default_rng(14)
+    special = special_stack(rng, (2000, 4))
+    for a in (rng.normal(size=(500, 4)), special[np.isfinite(special).all(axis=-1)]):
+        s = slash(a)
+        embedding = np.stack([np.stack([s.real, s.imag], -1), np.stack([-s.imag, s.real], -1)], axis=-3)
+        assert np.array_equal((a @ dirac._SLASH_REAL_FORM).reshape(-1, 8, 8), embedding.reshape(-1, 8, 8))
+
+
+def test_times_slash_matches_the_complex_product():
+    """The real-form product of two stacks is within a few ulps of the complex stacked ``@``,
+    per entry relative to the sum of its terms' magnitudes, and writes the same bits into ``out``;
+    with a single factor on either side it is ``_matmul``'s product."""
+    rng = np.random.default_rng(15)
+    x = slash(rng.normal(size=(300, 4))) @ slash(rng.normal(size=(300, 4)))
+    a = rng.normal(size=(300, 4))
+    product = dirac._times_slash(x, a)
+    bound = 16 * np.finfo(float).eps * (np.abs(x) @ np.abs(slash(a)))
+    assert np.all(np.abs(product - x @ slash(a)) <= bound)
+    buffer = np.empty_like(x)
+    assert np.shares_memory(dirac._times_slash(x, a, out=buffer), buffer) and np.array_equal(buffer, product)
+    assert np.array_equal(dirac._times_slash(x[0], a), dirac._matmul(x[0], slash(a)))
+    assert np.array_equal(dirac._times_slash(x, a[0]), dirac._matmul(x, slash(a[0])))
+
+
+def test_trace_of_product_matches_np_trace():
+    rng = np.random.default_rng(16)
+    shape = (400, 4, 4)
+    a, b = (complex_stack(rng.normal(size=shape), rng.normal(size=shape)) for _ in range(2))
+    terms = np.abs(a) * np.abs(b.swapaxes(-1, -2))
+    bound = 32 * np.finfo(float).eps * terms.sum(axis=(-2, -1))
+    assert np.all(np.abs(dirac._trace_of_product(a, b) - np.trace(a @ b, axis1=-2, axis2=-1)) <= bound)
+
+
+def test_exp_is_the_c_library_exp():
+    """The suite's exp rounds as ``math.exp`` on every input it takes, whatever loop numpy's
+    float64 exp would pick on this CPU."""
+    x = np.random.default_rng(17).uniform(-50.0, 1.0, size=5000)
+    assert dirac._exp(x).tolist() == [math.exp(v) for v in x.tolist()]
 
 
 def test_seed_independent_work_runs_once_per_process(monkeypatch):
