@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Mapping
@@ -206,3 +207,8 @@ def _check_invariants(c: ConstantsSet) -> None:
             holds = False
         if not holds:
             raise ConsistencyError(message)
+    # After the relations, so that a table they reject is named by them: a subnormal constant
+    # carries too few bits for the natural-unit conversions and the unit-invariant rows.
+    for name in CONSTANT_NAMES:
+        if getattr(c, name) < sys.float_info.min:
+            raise ConsistencyError(f"constant {name} must be a normal float, got {getattr(c, name)!r}")

@@ -283,6 +283,17 @@ def test_unevaluable_override_rejected_by_every_subcommand(tmp_path, command, li
     assert err == f"error: bad constants: {relation}\n"
 
 
+@pytest.mark.parametrize("command", ALL_SUBCOMMANDS)
+def test_subnormal_constant_rejected_by_every_subcommand(tmp_path, command):
+    """A subnormal electronvolt keeps every relation of the table, but the natural-unit
+    conversions cannot go through it (the masses in MeV would overflow); the audit names it."""
+    override = tmp_path / "constants.txt"
+    override.write_text("electronvolt = 1.60216e-319\n")
+    code, out, err = invoke([*command.split(), "--constants", str(override)])
+    assert (code, out) == (2, "")
+    assert err == "error: bad constants: constant electronvolt must be a normal float, got 1.60216e-319\n"
+
+
 @pytest.mark.parametrize("line", [line for line, _ in UNEVALUABLE_OVERRIDES] + [None])
 def test_unevaluable_input_exits_two_without_traceback_in_a_fresh_process(tmp_path, line):
     if line is None:

@@ -153,12 +153,13 @@ def test_eps0_total_mu0_form_in_rescaled_units_meets_the_alpha_form(constants):
 
 
 def test_eps0_total_mu0_form_out_of_float_range_is_a_value_error(constants):
-    """The audited table with the units of mass, length, time and charge scaled by 1e45,
-    1e45, 1e-45 and 1e-15: eps0 itself, about 9.1e-312 there, is subnormal."""
-    scaled = _in_rescaled_units(constants, 1e45, 1e45, 1e-45, 1e-15)
-    assert 0.0 < 3.0 * eps0_contribution_closed_form(scaled) < sys.float_info.min
-    with pytest.raises(ValueError, match="^the mu0 closed form of eps0 is out of float range$"):
-        eps0_total(scaled)
+    """The table with the units of mass, length, time and charge scaled by 1e45, 1e45,
+    1e-45 and 1e-15, where eps0 itself, about 9.1e-312, is subnormal: the audit rejects it
+    with a ValueError naming the constant, before eps0_total could evaluate the mu0 form.
+    The mu0 form is 1.028 eps0_accepted on every audited table, so it leaves the normal
+    floats only where eps0_accepted does or an intermediate does."""
+    with pytest.raises(ValueError, match="^constant eps0_accepted must be a normal float, got 8.85418781277e-312$"):
+        _in_rescaled_units(constants, 1e45, 1e45, 1e-45, 1e-15)
 
 
 def test_closed_form_rate_cross_check(constants, electron):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import pytest
 
@@ -41,24 +40,28 @@ def test_binding_energy_in_a_rescaled_charge_unit_meets_the_alpha_form(constants
 
 
 def test_binding_energy_out_of_float_range_is_a_value_error(constants):
-    """The audited table with masses x1e-20 and times x1e140 (values of dimension
-    M^a T^b scale by 1e-20^a 1e140^b): every binding energy, m alpha^2 c^2 / 4, is
-    subnormal there, so no form gives a normal float and a ValueError names the pair."""
-    mass, time = 1e-20, 1e140
+    """The audited table with masses x1e41, times x1e-143 and charges x1e50 (values of
+    dimension M^a T^b Q^c scale by 1e41^a 1e-143^b 1e50^c): every constant is a normal
+    float, electronvolt 1.6e308 among them, but every binding energy, m alpha^2 c^2 / 4,
+    overflows, so no form gives a normal float and a ValueError names the pair. (A table
+    with subnormal binding energies would need a subnormal electronvolt, which the audit
+    rejects.)"""
+    mass, time, charge = 1e41, 1e-143, 1e50
     scaled = dataclasses.replace(
         constants,
         h=constants.h * mass / time,
         hbar=constants.hbar * mass / time,
         c_defined=constants.c_defined / time,
-        mu0=constants.mu0 * mass,
-        eps0_accepted=constants.eps0_accepted / mass * time**2,
+        e_charge=constants.e_charge * charge,
+        mu0=constants.mu0 * mass / charge**2,
+        eps0_accepted=constants.eps0_accepted * charge**2 * time**2 / mass,
         electronvolt=constants.electronvolt * mass / time**2,
         m_electron=constants.m_electron * mass,
         m_muon=constants.m_muon * mass,
         m_tau=constants.m_tau * mass,
     )
     for species in scaled.leptons():
-        assert 0.0 < -oracles.binding_energy_alpha_form(species, scaled) < sys.float_info.min
+        assert -oracles.binding_energy_alpha_form(species, scaled) == math.inf
         with pytest.raises(ValueError, match=f"^the {species.name} pair's binding energy is out of float range$"):
             vfmodel.binding_energy(species, scaled)
 
