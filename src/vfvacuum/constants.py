@@ -207,8 +207,6 @@ def _check_invariants(c: ConstantsSet) -> None:
             holds = False
         if not holds:
             raise ConsistencyError(message)
-    # After the relations, so that a table they reject is named by them: a subnormal constant
-    # carries too few bits for the natural-unit conversions and the unit-invariant rows.
-    for name in CONSTANT_NAMES:
-        if getattr(c, name) < sys.float_info.min:
-            raise ConsistencyError(f"constant {name} must be a normal float, got {getattr(c, name)!r}")
+    subnormal = [name for name in CONSTANT_NAMES if getattr(c, name) < sys.float_info.min]
+    if subnormal:  # last, so that the relations name the tables they reject; too few bits for unit conversions
+        raise ConsistencyError(f"constant {subnormal[0]} must be a normal float, got {getattr(c, subnormal[0])!r}")

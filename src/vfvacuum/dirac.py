@@ -50,11 +50,8 @@ METRIC_DIAGONAL = (1.0, -1.0, -1.0, -1.0)
 # at most one nonzero real and one nonzero imaginary term, so it is exact in any order.
 _GAMMA_LOWERED = np.array(METRIC_DIAGONAL)[:, None, None] * np.stack(GAMMA)
 
-# Real form: a complex row times M is the row of interleaved (re, im) pairs times the 8x8 matrix of
-# 2x2 blocks (re, im; -im, re) of M's entries, so a @ this table is slash(a)'s real form. Each of
-# its 64 columns holds at most one +-1, so each entry of the form is one signed component, exact.
-_SLASH_REAL_FORM = np.stack([np.stack([_GAMMA_LOWERED.real, _GAMMA_LOWERED.imag], -1),
-                             np.stack([-_GAMMA_LOWERED.imag, _GAMMA_LOWERED.real], -1)], axis=2).reshape(4, 64)
+# slash(a)'s real form is a @ this table: its entries as 2x2 blocks (re, im; -im, re), each exact.
+_SLASH_REAL_FORM = np.kron(_GAMMA_LOWERED, [[1, -1j], [1j, 1]]).real.reshape(4, 64)
 
 DEFAULT_REGULARIZATION_WIDTHS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
@@ -92,8 +89,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
-    """exp through the C library, by way of numpy's complex exp, whose loop is the same on every
-    CPU: its float64 exp takes an AVX-512 loop where it can, and that rounds some inputs otherwise."""
+    """The C library's exp, through numpy's complex loop: its float64 loop rounds otherwise on AVX-512."""
     return np.exp(x + 0j).real
 
 
@@ -104,9 +100,8 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 4x4 matrices or stacks of them, as one matrix product when
-    one side is a single matrix, where a stacked ``@`` calls the BLAS once per matrix.
-    Two stacks (the projectors of an array of masses) multiply as a stacked ``@``."""
+    """``a @ b`` for 4x4 matrices or stacks of them: one product where one side is a single matrix, where
+    a stacked ``@`` calls the BLAS per matrix; two stacks (an array of masses' projectors) as a stacked ``@``."""
     if a.ndim == 2 and b.ndim > 2:
         rows = b.swapaxes(0, -2)  # each matrix's row index first; the order of the rest is immaterial
         return (a @ rows.reshape(4, -1)).reshape(rows.shape).swapaxes(0, -2)
@@ -117,20 +112,18 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def slash(a: np.ndarray) -> np.ndarray:
     """Contraction a_mu gamma^mu with index lowering by the metric: a 4x4
-    matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components. One real product
-    with a (4, 32) table of each entry's real part followed by its imaginary part, read back
-    as complex: OpenBLAS runs a complex product the size of a suite block's on a second
-    thread, which costs more than the product itself."""
+    matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components. One real product with a
+    (4, 32) table of each entry's real and imaginary parts, read back as complex: OpenBLAS runs a
+    complex product the size of a suite block's on a second thread, costing more than the product."""
     v = np.asarray(a, dtype=float)
     table = _GAMMA_LOWERED.reshape(4, 16).view(float)
     return (v.reshape(-1, 4) @ table).view(complex).reshape(v.shape[:-1] + (4, 4))
 
 
 def _times_slash(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ slash(a)``. For a stack of matrices and a stack of vectors, one real
-    (..., 4, 8) @ (..., 8, 8) product with slash(a)'s real form, read back as complex (written
-    into the complex stack ``out`` if given): per matrix, a real BLAS call costs about a fifth of
-    the complex one of a stacked ``@``. Where either is single, ``_matmul``'s one product."""
+    """``x @ slash(a)``: for two stacks, one real (..., 4, 8) @ (..., 8, 8) product with slash(a)'s real
+    form, read back as complex (into ``out`` if given), about a fifth of the cost of a complex stacked
+    ``@``, whose BLAS calls per matrix are slower; where either is single, ``_matmul``'s one product."""
     if x.ndim == 2 or a.ndim == 1:
         return _matmul(x, slash(a))
     real_form = (a.reshape(-1, 4) @ _SLASH_REAL_FORM).reshape(a.shape[:-1] + (8, 8))
@@ -175,9 +168,7 @@ def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.
     a, b, c, d = np.moveaxis(vectors, 1, 0)
     scale = np.maximum(1.0, np.max(np.abs(_dot(vectors, vectors)), axis=-1))
     sa, sb, sc, sd = np.moveaxis(slash(vectors), 1, 0)
-    # ab and cd overwrite bslash and dslash, which nothing reads, so the block adds no array to
-    # the slashes: its heap use stays under twice its largest array, and glibc keeps that heap
-    # for the next block instead of trimming it (about 500 page faults per suite otherwise).
+    # Into the unread bslash and dslash, so glibc keeps the heap between blocks (see README).
     ab, cd = _times_slash(sa, b, out=sb), _times_slash(sc, d, out=sd)
     pair = np.abs(_trace(ab) - 4.0 * _dot(a, b)) / scale
     expected = 4.0 * (_dot(a, b) * _dot(c, d) - _dot(a, c) * _dot(b, d) + _dot(a, d) * _dot(b, c))
@@ -255,7 +246,8 @@ def squared_matrix_element(
     rest, m = slash(m * _PAIR_AT_REST), m[..., None]
     commutator = _times_slash(slash(e_i), e_f) - _times_slash(slash(e_f), e_i)
     # Multiplied left to right, as the trace reads; the last product is only traced.
-    chain = _times_slash(_matmul(_times_slash(_matmul(rest - m * IDENTITY, commutator), k), rest + m * IDENTITY), k)
+    chain = _times_slash(_matmul(rest - m * IDENTITY, commutator), k)
+    chain = _times_slash(_matmul(chain, rest + m * IDENTITY), k)
     trace = _trace_of_product(chain, -commutator)
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
@@ -467,18 +459,15 @@ def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.nda
 
 
 def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    e1, e2 = _PHOTON_Z_BASIS
-    # A normal 4-vector points uniformly on the 3-sphere, so its quaternion is a uniform rotation
-    # (Shoemake 1992), built here without normalizing q: s = 2 / |q|^2.
-    q = rng.normal(size=(count, 4))
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    s = 2.0 / _inner(q, q)
-    rotation = np.stack([1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y),
-                         s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x),
-                         s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)], axis=-1)
-    rotated = [np.concatenate([np.full((count, 1), v[0]), (rotation.reshape(count, 3, 3) * v[1:]).sum(axis=-1)],
-                              axis=-1) for v in (e1, e2, _PHOTON_Z)]
-    value = squared_matrix_element(*rotated, 1.0)
+    # A normal 4-vector's quaternion is a uniform rotation (Shoemake 1992; s = 2/|q|^2 normalizes it),
+    # whose columns are the images of the +z basis and of k = (1, 0, 0, 1): the x, y and z axes.
+    w, x, y, z = rng.normal(size=(count, 4)).T
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    columns = np.stack([1.0 - s * (y * y + z * z), s * (x * y + w * z), s * (x * z - w * y),
+                        s * (x * y - w * z), 1.0 - s * (x * x + z * z), s * (y * z + w * x),
+                        s * (x * z + w * y), s * (y * z - w * x), 1.0 - s * (x * x + y * y)], axis=-1)
+    rotated = np.concatenate([np.broadcast_to([[0.0], [0.0], [1.0]], (count, 3, 1)), columns.reshape(count, 3, 3)], -1)
+    value = squared_matrix_element(*np.moveaxis(rotated, 1, 0), 1.0)
     return (np.abs(value - _seed_independent()[1]) / 2.0,)  # against the unrotated amplitude
 
 
