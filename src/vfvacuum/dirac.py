@@ -100,8 +100,8 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 4x4 matrices or stacks of them: one product where one side is a single matrix, where
-    a stacked ``@`` calls the BLAS per matrix; two stacks (an array of masses' projectors) as a stacked ``@``."""
+    """``a @ b`` for 4x4 matrices or stacks: one product over the stack where one side is a single matrix (a
+    stacked ``@`` calls the BLAS per matrix); two stacks, an array of masses' projectors, as a stacked ``@``."""
     if a.ndim == 2 and b.ndim > 2:
         rows = b.swapaxes(0, -2)  # each matrix's row index first; the order of the rest is immaterial
         return (a @ rows.reshape(4, -1)).reshape(rows.shape).swapaxes(0, -2)
