@@ -99,17 +99,6 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return 0.0 + ((m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3]))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 4x4 matrices or stacks: one product over the stack where one side is a single matrix (a
-    stacked ``@`` calls the BLAS per matrix); two stacks, an array of masses' projectors, as a stacked ``@``."""
-    if a.ndim == 2 and b.ndim > 2:
-        rows = b.swapaxes(0, -2)  # each matrix's row index first; the order of the rest is immaterial
-        return (a @ rows.reshape(4, -1)).reshape(rows.shape).swapaxes(0, -2)
-    if b.ndim == 2 and a.ndim > 2:
-        return (a.reshape(-1, 4) @ b).reshape(a.shape)
-    return a @ b
-
-
 def slash(a: np.ndarray) -> np.ndarray:
     """Contraction a_mu gamma^mu with index lowering by the metric: a 4x4
     matrix for one (4,) vector, a (..., 4, 4) stack for (..., 4) components. One real product with a
@@ -120,14 +109,19 @@ def slash(a: np.ndarray) -> np.ndarray:
     return (v.reshape(-1, 4) @ table).view(complex).reshape(v.shape[:-1] + (4, 4))
 
 
-def _times_slash(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ slash(a)``: for two stacks, one real (..., 4, 8) @ (..., 8, 8) product with slash(a)'s real
-    form, read back as complex (into ``out`` if given), about a fifth of the cost of a complex stacked
-    ``@``, whose BLAS calls per matrix are slower; where either is single, ``_matmul``'s one product."""
-    if x.ndim == 2 or a.ndim == 1:
-        return _matmul(x, slash(a))
-    real_form = (a.reshape(-1, 4) @ _SLASH_REAL_FORM).reshape(a.shape[:-1] + (8, 8))
-    return np.matmul(x.view(float), real_form, out=None if out is None else out.view(float)).view(complex)
+def _times_slash(
+    x: np.ndarray, a: np.ndarray, shift: Floats | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x @ (slash(a) + shift)``, for a float shift or a (..., 1) stack of them: a real product with the real
+    form of the factor, read back as complex. For a single (4,) vector the whole stack is one (4n, 8) @ (8, 8)
+    product; for a stack of vectors a stacked (..., 4, 8) @ (..., 8, 8) one, into ``out`` if given, about a
+    fifth of the cost of a complex stacked ``@``, whose BLAS calls per matrix are slower."""
+    form = (a.reshape(-1, 4) @ _SLASH_REAL_FORM).reshape(a.shape[:-1] + (8, 8))
+    if shift is not None:  # onto the diagonal, every ninth entry of each flattened form
+        form.reshape(form.shape[:-2] + (64,))[..., ::9] += shift
+    if a.ndim == 1:
+        return (x.reshape(-1, 4).view(float) @ form).view(complex).reshape(x.shape)
+    return np.matmul(x.view(float), form, out=None if out is None else out.view(float)).view(complex)
 
 
 def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,12 +237,11 @@ def squared_matrix_element(
     _require_polarization(e_i, k, "initial polarization")
     _require_polarization(e_f, k, "final polarization")
 
-    rest, m = slash(m * _PAIR_AT_REST), m[..., None]
+    rest = m * _PAIR_AT_REST
     commutator = _times_slash(slash(e_i), e_f) - _times_slash(slash(e_f), e_i)
-    # Multiplied left to right, as the trace reads; the last product is only traced.
-    chain = _times_slash(_matmul(rest - m * IDENTITY, commutator), k)
-    chain = _times_slash(_matmul(chain, rest + m * IDENTITY), k)
-    trace = _trace_of_product(chain, -commutator)
+    # Multiplied left to right from the commutator; the trace is cyclic, so (-C)(pslash - m) closes it.
+    chain = _times_slash(_times_slash(_times_slash(commutator, k), rest, shift=m), k)
+    trace = _trace_of_product(chain, _times_slash(-commutator, rest, shift=-m))
     non_real = np.abs(trace.imag) > 1e-10 * np.maximum(1.0, np.abs(trace.real))
     if non_real.any():
         raise RuntimeError(f"squared amplitude trace has a non-real part: {trace[non_real][0]}")
@@ -267,7 +260,11 @@ def transverse_polarization_basis(k: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     _require_lightlike(k)
     k3 = k[..., 1:]
-    khat = k3 / np.sqrt(_inner(k3, k3))[..., None]
+    with np.errstate(over="ignore"):
+        square = _inner(k3, k3)
+    if not ((square >= sys.float_info.min) & (square < math.inf)).all():  # else khat is 0, inf or NaN
+        raise ValueError("photon momentum is out of range: |k|^2 is not a normal float")
+    khat = k3 / np.sqrt(square)[..., None]
     trial = np.eye(3)[np.argmin(np.abs(khat), axis=-1)]
     e1 = trial - _inner(trial, khat)[..., None] * khat
     e1 = e1 / np.sqrt(_inner(e1, e1))[..., None]
@@ -288,25 +285,21 @@ _PHOTON_Z_BASIS.flags.writeable = False
 _PHOTON_Z_PAIRS.flags.writeable = False
 
 
-def polarization_sums(
-    k_i: np.ndarray, initial_basis: np.ndarray | None = None, final_basis: np.ndarray | None = None
-) -> tuple[float, Floats]:
+def polarization_sums(k_i: np.ndarray, final_basis: np.ndarray | None = None) -> tuple[float, Floats]:
     """Sums over initial/final polarization pairs for a final photon with the
     same momentum as the initial one: sum of 1 and sum of (eps_i . eps_f)^2.
-    Batched with (..., 4) momenta and (..., 2, 4) bases."""
+    The initial basis is ``transverse_polarization_basis(k_i)``, and so is the
+    final one unless it is given. Batched with (..., 4) momenta and (..., 2, 4) bases."""
     k = np.asarray(k_i, dtype=float)
-    _require_lightlike(k)
-    default = transverse_polarization_basis(k) if initial_basis is None or final_basis is None else None
-    bases = []
-    for label, basis in (("initial", initial_basis), ("final", final_basis)):
-        basis = default if basis is None else np.asarray(basis, dtype=float)
-        if basis.shape[-2] != 2:
-            raise ValueError(f"{label} polarization basis must contain two vectors")
-        _require_polarization(basis, k[..., None, :], f"{label} polarization")
-        bases.append(basis)
-    squares = _dot(bases[0][..., :, None, :], bases[1][..., None, :, :]) ** 2
+    initial = final = transverse_polarization_basis(k)
+    if final_basis is not None:
+        final = np.asarray(final_basis, dtype=float)
+        if final.shape[-2] != 2:
+            raise ValueError("final polarization basis must contain two vectors")
+        _require_polarization(final, k[..., None, :], "final polarization")
+    squares = _dot(initial[..., :, None, :], final[..., None, :, :]) ** 2
     sum_dot_squared = sum(squares[..., i, f] for i in (0, 1) for f in (0, 1))  # in pair order
-    return float(bases[0].shape[-2] * bases[1].shape[-2]), _float_or_array(sum_dot_squared)
+    return float(initial.shape[-2] * final.shape[-2]), _float_or_array(sum_dot_squared)
 
 
 def phase_space_integral(

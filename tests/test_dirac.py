@@ -326,7 +326,7 @@ def test_polarization_sums_basis_independent():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         r1 = np.concatenate([[0.0], math.cos(phi) * e1 + math.sin(phi) * e2])
         r2 = np.concatenate([[0.0], -math.sin(phi) * e1 + math.cos(phi) * e2])
-        sum_one, sum_dot = polarization_sums(k, initial_basis=(r1, r2))
+        sum_one, sum_dot = polarization_sums(k, final_basis=(r1, r2))
         assert abs(sum_one - 4.0) < 1e-12
         assert abs(sum_dot - 2.0) < 1e-12
 
@@ -415,8 +415,8 @@ def test_nan_polarization_is_rejected():
         squared_matrix_element(nan_eps, e2, dirac._PHOTON_Z, 1.0)
     with pytest.raises(ValueError, match="final polarization must be a spacelike unit vector"):
         squared_matrix_element(e2, nan_eps, dirac._PHOTON_Z, 1.0)
-    with pytest.raises(ValueError, match="initial polarization must be a spacelike unit vector"):
-        polarization_sums(dirac._PHOTON_Z, initial_basis=np.stack([nan_eps, e2]))
+    with pytest.raises(ValueError, match="final polarization must be a spacelike unit vector"):
+        polarization_sums(dirac._PHOTON_Z, final_basis=np.stack([nan_eps, e2]))
 
 
 def test_nan_transverse_component_is_rejected():
@@ -434,8 +434,17 @@ def test_polarization_sums_build_the_default_basis_once(monkeypatch):
     momenta = np.array([[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
     assert polarization_sums(momenta) == (4.0, pytest.approx([2.0, 2.0]))
     assert len(calls) == 1
-    polarization_sums(momenta, initial_basis=original(momenta), final_basis=original(momenta))
-    assert len(calls) == 1
+    polarization_sums(momenta, final_basis=original(momenta))  # only the initial basis is built
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("energy", [1e200, 1e-200])
+def test_photon_whose_squared_momentum_leaves_the_floats_is_rejected(energy):
+    """|k|^2 overflows or underflows: a ValueError, not a basis with a zero or NaN vector."""
+    k = np.array([energy, 0.0, 0.0, energy])
+    for function in (transverse_polarization_basis, polarization_sums):
+        with pytest.raises(ValueError, match=r"photon momentum is out of range: \|k\|\^2"):
+            function(k)
 
 
 def test_cross_section_keeps_its_value_at_the_mass_domain_edges(constants):
@@ -732,27 +741,6 @@ def test_suite_sections_draw_apart_from_trace_identities(monkeypatch):
             assert not np.any(first_draws[first] == first_draws[second]), (first, second)
 
 
-@pytest.mark.parametrize("count", [1, 4, 200, 1000, 1025])
-def test_constant_factor_product_equals_stacked_matmul(count):
-    """The one-product path for a single 4x4 factor gives every entry the bits
-    that a stacked ``@`` gives, with the constant on either side."""
-    rng = np.random.default_rng(count)
-    constants = [
-        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-        slash(rng.normal(size=4)) - 0.7 * IDENTITY,
-    ]
-    stacks = [
-        rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4)),
-        slash(rng.normal(size=(count, 4))) @ slash(rng.normal(size=(count, 4))),
-        slash(rng.normal(size=(2, count, 4))),
-    ]
-    for constant in constants:
-        for stack in stacks:
-            assert np.array_equal(dirac._matmul(constant, stack), constant @ stack)
-            assert np.array_equal(dirac._matmul(stack, constant), stack @ constant)
-    assert np.array_equal(dirac._matmul(stacks[0], stacks[1]), stacks[0] @ stacks[1])
-
-
 _SPECIAL_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-308, 1.0, -1.5, 1e308])
 
 
@@ -833,19 +821,25 @@ def test_slash_real_form_is_the_interleaved_embedding():
 
 
 def test_times_slash_matches_the_complex_product():
-    """The real-form product of two stacks is within a few ulps of the complex stacked ``@``,
-    per entry relative to the sum of its terms' magnitudes, and writes the same bits into ``out``;
-    with a single factor on either side it is ``_matmul``'s product."""
+    """``x @ (slash(a) + shift)`` as a real-form product is within a few ulps of the complex ``@``,
+    per entry relative to the sum of its terms' magnitudes, for a stack or a single matrix times a
+    stack or a single vector, with no shift, a float shift or a stack of shifts; the product of two
+    stacks writes the same bits into ``out``."""
     rng = np.random.default_rng(15)
     x = slash(rng.normal(size=(300, 4))) @ slash(rng.normal(size=(300, 4)))
     a = rng.normal(size=(300, 4))
-    product = dirac._times_slash(x, a)
-    bound = 16 * np.finfo(float).eps * (np.abs(x) @ np.abs(slash(a)))
-    assert np.all(np.abs(product - x @ slash(a)) <= bound)
+    shifts = rng.uniform(-2.0, 2.0, size=(300, 1))
+    cases = [(x, a, None), (x[0], a, None), (x, a[0], None), (x[0], a[0], None), (x[:, None], a, None),
+             (x, a, 0.7), (x, a[0], -0.7), (x[0], a[0], 0.7), (x, a, shifts), (x[0], a, -shifts)]
+    for left, vector, shift in cases:
+        factor = slash(vector) + (0.0 if shift is None else np.asarray(shift)[..., None] * IDENTITY)
+        product = dirac._times_slash(left, vector, shift=shift)
+        bound = 16 * np.finfo(float).eps * (np.abs(left) @ np.abs(factor))
+        assert product.shape == (left @ factor).shape
+        assert np.all(np.abs(product - left @ factor) <= bound)
     buffer = np.empty_like(x)
+    product = dirac._times_slash(x, a)
     assert np.shares_memory(dirac._times_slash(x, a, out=buffer), buffer) and np.array_equal(buffer, product)
-    assert np.array_equal(dirac._times_slash(x[0], a), dirac._matmul(x[0], slash(a)))
-    assert np.array_equal(dirac._times_slash(x, a[0]), dirac._matmul(x, slash(a[0])))
 
 
 def test_trace_of_product_matches_np_trace():

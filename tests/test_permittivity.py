@@ -162,6 +162,21 @@ def test_eps0_total_mu0_form_out_of_float_range_is_a_value_error(constants):
         _in_rescaled_units(constants, 1e45, 1e45, 1e-45, 1e-15)
 
 
+def test_eps0_total_mu0_form_guard_is_reached_by_an_audited_table():
+    """Unit rescalings keep alpha, so there the mu0 form, 6144 pi alpha^2 eps0, is as far in
+    range as eps0_accepted; with alpha at 1.1e-29 (charge rescaled to match) it is subnormal while
+    the decay and every species contribution evaluate, and eps0_total stops at its guard."""
+    table = load_constants({
+        "c_defined": 1.1926146196218445e100, "h": 2771.360797112382, "hbar": 441.0757699515309,
+        "e_charge": 2.5432054982219616e-93, "alpha": 1.0718492403889444e-29, "mu0": 7.701826535114415e59,
+        "eps0_accepted": 9.128638506370368e-261, "electronvolt": 7.328366055944882e139,
+        "m_electron": 2.6328547745373473e-55, "m_muon": 5.443908610768544e-53, "m_tau": 9.155035165732204e-52,
+    })
+    assert all(0.0 < decay.lifetime < math.inf for decay in dirac.decay_rate(table.leptons(), table))
+    with pytest.raises(ValueError, match="^the mu0 closed form of eps0 is out of float range$"):
+        eps0_total(table)
+
+
 def test_closed_form_rate_cross_check(constants, electron):
     assert annihilation_rate_closed_form(electron, constants) == pytest.approx(
         constants.alpha**5 * electron.mass_energy / constants.hbar, rel=1e-15
