@@ -129,30 +129,22 @@ def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
-def spinor(kind: str, momentum: np.ndarray, spin: str, mass: float | np.ndarray) -> np.ndarray:
-    """Free-particle spinor components with box normalization ubar u = 1, vbar v = -1:
-    (..., 4) complex for (..., 4) momenta with broadcastable masses."""
-    if kind not in ("u", "v"):
-        raise ValueError(f"spinor kind must be 'u' or 'v', got {kind!r}")
-    if spin not in ("+", "-"):
-        raise ValueError(f"spin label must be '+' or '-', got {spin!r}")
+def spinor(momentum: np.ndarray, mass: float | np.ndarray) -> np.ndarray:
+    """Free-particle spinors with box normalization ubar u = 1, vbar v = -1, as the columns u+, u-, v+, v-
+    of sqrt((E+m)/2m) [[1, S], [S, 1]] with S = sigma.p/(E+m): a (..., 4, 4) complex stack for (..., 4)
+    momenta with broadcastable masses."""
     if not np.all(mass > 0.0):
         raise ValueError("mass must be positive")
     four_momentum = np.asarray(momentum, dtype=float)
     energy, p = four_momentum[..., 0], four_momentum[..., 1:]
-    if np.any(np.abs(energy - np.sqrt(mass**2 + _inner(p, p))) >= 1e-9 * mass):
+    with np.errstate(invalid="ignore", over="ignore"):  # the condition fails on NaN and on inf
+        shell = np.abs(energy - np.sqrt(mass**2 + _inner(p, p))) < 1e-9 * mass
+    if not shell.all():
         raise ValueError("momentum is off shell for the given mass")
-    column = 0 if spin == "+" else 1
-    chi = np.broadcast_to(np.eye(2, dtype=complex)[column], p.shape[:-1] + (2,))
-    small = (p @ _SIGMA[:, :, column]) / (energy + mass)[..., None]
-    norm = np.sqrt((energy + mass) / (2.0 * mass))[..., None]
-    return norm * np.concatenate([chi, small] if kind == "u" else [small, chi], axis=-1)
-
-
-def spin_sum(psis: Sequence[np.ndarray]) -> np.ndarray:
-    """Outer-product sum psi psibar over the given (..., 4) spinors: over both spins of one
-    kind, (pslash +- m)/(2m) for u and v. A (..., 4, 4) stack."""
-    return sum(psi[..., :, None] * (psi.conj() @ GAMMA[0])[..., None, :] for psi in psis)
+    sigma_p = (p @ _SIGMA.reshape(3, 4).view(float)).view(complex)  # a real product, as in slash
+    small = sigma_p.reshape(p.shape[:-1] + (2, 2)) / (energy + mass)[..., None, None]
+    one = np.broadcast_to(_I2, small.shape)
+    return np.sqrt((energy + mass) / (2.0 * mass))[..., None, None] * np.block([[one, small], [small, one]])
 
 
 def _trace_identity_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
@@ -431,16 +423,17 @@ def _spinor_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray,
     p3 = mass[:, None] * (4.0 * u[:, 1:] - 2.0)  # each component uniform in [-2m, 2m)
     momentum = np.concatenate([np.sqrt(mass**2 + _inner(p3, p3))[:, None], p3], axis=-1)
     pslash, m = slash(momentum), mass[:, None, None]
-    dirac, norm, projector = [], [], []
-    for kind, sign in (("u", 1.0), ("v", -1.0)):
-        psis = [spinor(kind, momentum, spin_label, mass) for spin_label in ("+", "-")]
-        for psi in psis:
-            residual = ((pslash - sign * m * IDENTITY) @ psi[..., None])[..., 0]
-            dirac.append(np.max(np.abs(residual), axis=-1) / mass)
-            norm.append(np.abs(_inner(psi.conj() @ GAMMA[0], psi) - sign))
-        deviation = spin_sum(psis) - (pslash + sign * m * IDENTITY) / (2.0 * m)
-        projector.append(np.max(np.abs(deviation), axis=(1, 2)))
-    return np.max(dirac, axis=0), np.max(norm, axis=0), np.max(projector, axis=0)
+    psi = spinor(momentum, mass)
+    # psi^dagger gamma^0, one row per spinor, in the C order _times_slash reads as (re, im) pairs.
+    bar = np.ascontiguousarray(psi.swapaxes(1, 2).conj()) * GAMMA[0].diagonal()
+    sign = np.array([1.0, 1.0, -1.0, -1.0])  # u+, u-, v+, v-
+    # bar (pslash -+ m) = 0 is (pslash -+ m) psi = 0 conjugated, since gamma^0 gamma^mu^dagger gamma^0 = gamma^mu.
+    dirac = np.abs(_times_slash(bar, momentum) - sign[:, None] * m * bar)
+    norm = np.abs(_inner(bar, psi.swapaxes(1, 2)) - sign)
+    outer = psi[:, :, None, :] * bar.swapaxes(1, 2)[:, None]  # [n, i, j, s]: psi_i psibar_j of spinor s
+    projector = [np.abs(outer[..., k] + outer[..., k + 1] - (pslash + sign[k] * m * IDENTITY) / (2.0 * m))
+                 for k in (0, 2)]
+    return np.max(dirac, axis=(1, 2)) / mass, np.max(norm, axis=1), np.max(projector, axis=(0, 2, 3))
 
 
 def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:

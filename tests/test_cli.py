@@ -325,21 +325,21 @@ SUBCOMMAND_BYTES = [
     ("constants", "json", 0, "505f80eefa2a0341674fa26b6574d1d910a209fe745f592370d38658da16212e"),
     ("constants", "text", 0, "9790cb198b56a0ccf898bd9aa36bd892429d3f04147201ccf1f098f97298e741"),
     ("trace-check --trials 50 --seed 3", "json", 0,
-     "24a41b4713c76fe464a7af8b1bb8cb381c8850ce947da3d4ed172b8dbb87fdc8"),
+     "be5cc6d587e3c39a983cefe939b496ddb2faa3f980b76c5d31475ad662f7dffb"),
     ("trace-check --trials 50 --seed 3", "text", 0,
-     "604740cc5aec6ffd7dd87b1129ad05b9a9aeb99d73880a42c444e295b77dcf6b"),
+     "dde192608918e3fe191484456a54bc33c4603980f566bf37d5fdd41ce058cf8c"),
     # Past the first block of trials.
     ("trace-check --trials 1025 --seed 7", "json", 0,
-     "c7dddc6e26e6629be03190d9ff3c782a79ae608a762b0b37fdeaf01388bef444"),
+     "833d9eff25db0bf59e10e1e43fcabe16623cd1548a68e0134e32ea198803563c"),
     # The benchmark's verify-warm shape: 1000 trials, at the smallest, a middle and the largest seed.
     ("trace-check --trials 1000 --seed 0", "json", 0,
-     "85c30e35490a5a4cffb393c0ae7770efb3bca0070091482e43e745e5a9408f53"),
+     "4407f72435ee288a3849ac67990035bbbb300dd03b7d041cd08c5c0cac25d239"),
     ("trace-check --trials 1000 --seed 0", "text", 0,
-     "28dfc9c2bf8ab54404cf29a7f335aa7de3459450251b6b94451b504c3954e402"),
+     "7f3196eadf5063cc87e3ed419cfdb70eb6f0cae472c777e6837a9ba031a37761"),
     ("trace-check --trials 1000 --seed 1234", "json", 0,
-     "b9cc53a3c8f9b0e154693a1958f57d21794d33d7b5f60b77689838f6965e2b96"),
+     "34a70a8c45838ab85673142c661d25255ccc601ab62600dfcd71357350780b43"),
     ("trace-check --trials 1000 --seed 2147483647", "json", 0,
-     "703bfe19bcdbb97dc5dfcfb4252cceabff9da6e87305db5467840688149a6ada"),
+     "9ca747873e6b904a4a3b246376e2a3d11c0a51ea8f330d0b4905b6b7207fb3ff"),
 ]
 
 

@@ -19,7 +19,6 @@ from vfvacuum.dirac import (
     phase_space_width_study,
     polarization_sums,
     slash,
-    spin_sum,
     spinor,
     squared_matrix_element,
     transverse_polarization_basis,
@@ -170,19 +169,34 @@ def test_trace_identities_match_per_trial_loop():
 # ------------------------------------------------------------------ spinors
 
 
+SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # columns u+, u-, v+, v-
+
+
+def bar(psi):
+    """psi^dagger gamma^0 of each column of a spinor matrix, as its rows."""
+    return psi.conj().T @ GAMMA[0]
+
+
+def test_rest_frame_spinors_are_the_identity():
+    m = 1.3
+    rest = np.array([m, 0.0, 0.0, 0.0])
+    psi = spinor(rest, m)
+    assert isinstance(psi, np.ndarray) and psi.shape == (4, 4) and psi.dtype == complex
+    assert np.array_equal(psi, IDENTITY)
+
+
 def test_rest_frame_u_satisfies_dirac_equation():
     m = 1.3
     rest = np.array([m, 0.0, 0.0, 0.0])
-    psi = spinor("u", rest, "+", m)
-    assert isinstance(psi, np.ndarray) and psi.shape == (4,) and psi.dtype == complex
-    assert np.max(np.abs((slash(rest) - m * IDENTITY) @ psi)) < 1e-12
+    u_plus = spinor(rest, m)[:, 0]
+    assert np.max(np.abs((slash(rest) - m * IDENTITY) @ u_plus)) < 1e-12
 
 
 def test_rest_frame_spin_sum_projector():
     m = 0.7
     rest = np.array([m, 0.0, 0.0, 0.0])
-    spinors = [spinor("u", rest, spin_label, m) for spin_label in ("+", "-")]
-    assert np.max(np.abs(spin_sum(spinors) - (GAMMA[0] + IDENTITY) / 2.0)) < 1e-14
+    psi = spinor(rest, m)
+    assert np.max(np.abs(psi[:, :2] @ bar(psi)[:2] - (GAMMA[0] + IDENTITY) / 2.0)) < 1e-14
 
 
 def test_boosted_spinor_invariants():
@@ -190,27 +204,79 @@ def test_boosted_spinor_invariants():
     beta = 0.1
     pz = m * beta / math.sqrt(1.0 - beta**2)
     momentum = np.array([math.sqrt(m**2 + pz**2), 0.0, 0.0, pz])
-    for kind, sign in (("u", 1.0), ("v", -1.0)):
-        spinors = [spinor(kind, momentum, spin_label, m) for spin_label in ("+", "-")]
-        for psi in spinors:
-            residual = (slash(momentum) - sign * m * IDENTITY) @ psi
-            assert np.max(np.abs(residual)) < 1e-12
-            assert psi.conj() @ GAMMA[0] @ psi == pytest.approx(sign, abs=1e-12)
+    psi = spinor(momentum, m)
+    for column, sign in enumerate(SIGNS):
+        residual = (slash(momentum) - sign * m * IDENTITY) @ psi[:, column]
+        assert np.max(np.abs(residual)) < 1e-12
+        assert bar(psi)[column] @ psi[:, column] == pytest.approx(sign, abs=1e-12)
+    for kind, sign in ((slice(0, 2), 1.0), (slice(2, 4), -1.0)):
         projector = (slash(momentum) + sign * m * IDENTITY) / (2.0 * m)
-        assert np.max(np.abs(spin_sum(spinors) - projector)) < 1e-12
+        assert np.max(np.abs(psi[:, kind] @ bar(psi)[kind] - projector)) < 1e-12
+
+
+def test_spinor_stack_with_per_row_masses_matches_per_row_calls():
+    rng = np.random.default_rng(8)
+    mass = np.array([0.5, 1.0, 2.5])
+    p3 = rng.normal(size=(3, 3))
+    momentum = np.concatenate([np.sqrt(mass**2 + (p3 * p3).sum(axis=-1))[:, None], p3], axis=-1)
+    stack = spinor(momentum, mass)
+    assert stack.shape == (3, 4, 4)
+    for row in range(3):
+        assert np.array_equal(stack[row], spinor(momentum[row], mass[row]))
 
 
 def test_off_shell_momentum_rejected():
     with pytest.raises(ValueError, match="off shell"):
-        spinor("u", np.array([2.0, 0.0, 0.0, 0.0]), "+", 1.0)
+        spinor(np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
 
 
-def test_bad_spinor_labels_rejected():
-    rest = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        spinor("w", rest, "+", 1.0)
-    with pytest.raises(ValueError):
-        spinor("u", rest, "up", 1.0)
+@pytest.mark.parametrize(
+    "momentum",
+    [[math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [math.inf, math.inf, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]],
+)
+def test_non_finite_momentum_rejected(momentum):
+    with pytest.raises(ValueError, match="off shell"):
+        spinor(np.array(momentum), 1.0)
+    with pytest.raises(ValueError, match="off shell"):  # one bad row of a stack
+        spinor(np.array([[1.0, 0.0, 0.0, 0.0], momentum]), 1.0)
+
+
+def _swap_v_for_u(psi):
+    psi[..., 2:] = psi[..., :2]
+
+
+def _scale_by_one_ppb(psi):
+    psi *= 1.0 + 1e-9
+
+
+def _replace_u_minus_by_u_plus(psi):
+    psi[..., 1] = psi[..., 0]
+
+
+SPINOR_ROWS = ["spinor-dirac-equation", "spinor-normalization", "spin-sum-projectors"]
+
+
+@pytest.mark.parametrize(
+    "mutate, failing, passing",
+    [
+        (_swap_v_for_u, {"spinor-dirac-equation"}, set()),
+        (_scale_by_one_ppb, {"spinor-normalization"}, {"spinor-dirac-equation"}),
+        (_replace_u_minus_by_u_plus, {"spin-sum-projectors"}, {"spinor-dirac-equation", "spinor-normalization"}),
+    ],
+)
+def test_each_spinor_row_fails_on_a_broken_spinor(monkeypatch, mutate, failing, passing):
+    original = spinor
+
+    def broken(momentum, mass):
+        psi = original(momentum, mass)
+        mutate(psi)
+        return psi
+
+    monkeypatch.setattr(dirac, "spinor", broken)
+    status = {row.name: row.status for row in verification_suite(trials=10)}
+    assert all(status[name] == "fail" for name in failing)
+    assert all(status[name] == "pass" for name in passing)
+    assert all(result == "pass" for name, result in status.items() if name not in SPINOR_ROWS)
 
 
 # ------------------------------------------------------ squared matrix element
