@@ -25,10 +25,10 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .checks import CheckRow, check_row
 from .constants import ConstantsSet, LeptonSpecies
@@ -54,9 +54,6 @@ _GAMMA_LOWERED = np.array(METRIC_DIAGONAL)[:, None, None] * np.stack(GAMMA)
 _SLASH_REAL_FORM = np.kron(_GAMMA_LOWERED, [[1, -1j], [1j, 1]]).real.reshape(4, 64)
 
 DEFAULT_REGULARIZATION_WIDTHS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-
-# Gauss-Legendre rule for the regularized phase-space integral over +-10 widths.
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 
 # Trials drawn and evaluated together by the verification suites, bounding their memory.
 _BLOCK = 1000
@@ -133,12 +130,14 @@ def spinor(momentum: np.ndarray, mass: float | np.ndarray) -> np.ndarray:
     """Free-particle spinors with box normalization ubar u = 1, vbar v = -1, as the columns u+, u-, v+, v-
     of sqrt((E+m)/2m) [[1, S], [S, 1]] with S = sigma.p/(E+m): a (..., 4, 4) complex stack for (..., 4)
     momenta with broadcastable masses."""
-    if not np.all(mass > 0.0):
-        raise ValueError("mass must be positive")
+    _require_positive_mass(mass)
     four_momentum = np.asarray(momentum, dtype=float)
     energy, p = four_momentum[..., 0], four_momentum[..., 1:]
-    with np.errstate(invalid="ignore", over="ignore"):  # the condition fails on NaN and on inf
-        shell = np.abs(energy - np.sqrt(mass**2 + _inner(p, p))) < 1e-9 * mass
+    # |E - sqrt(m^2 + p.p)| < 1e-9 m, divided by E as _require_lightlike scales k, so that p.p cannot
+    # overflow; it fails on NaN, on inf and for E <= 0.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        unit = p / energy[..., None]
+        shell = np.abs(1.0 - np.sqrt((mass / energy) ** 2 + _inner(unit, unit))) < 1e-9 * mass / energy
     if not shell.all():
         raise ValueError("momentum is off shell for the given mass")
     sigma_p = (p @ _SIGMA.reshape(3, 4).view(float)).view(complex)  # a real product, as in slash
@@ -170,6 +169,11 @@ def _worst_over_blocks(count: int, residuals: Callable, rng: np.random.Generator
     for size in [min(_BLOCK, count - start) for start in range(0, count, _BLOCK)] or [0]:
         worst = np.maximum(worst, [np.max(r, initial=0.0) for r in residuals(rng, size)])
     return worst
+
+
+def _require_positive_mass(mass: Floats) -> None:
+    if not (np.asarray(mass) > 0.0).all():  # NaN fails too
+        raise ValueError("mass must be positive")
 
 
 def _require_lightlike(k: np.ndarray) -> None:
@@ -220,17 +224,27 @@ def squared_matrix_element(
     array. A mass and photon energy for which 16 m^4 w^2 is not a
     normal float raise ValueError.
     """
-    m = np.asarray(mass)[..., None]
-    if not (m > 0.0).all():  # NaN fails too
-        raise ValueError("mass must be positive")
+    _require_positive_mass(mass)
     e_i, e_f, k = (np.asarray(v, dtype=float) for v in (epsilon_i, epsilon_f, k_i))
     _require_lightlike(k)
-    denominator = _normal_denominator(mass, k[..., 0])
     _require_polarization(e_i, k, "initial polarization")
     _require_polarization(e_f, k, "final polarization")
+    return _reduced_trace(_commutator(e_i, e_f), k, mass)
 
+
+def _commutator(e_i: np.ndarray, e_f: np.ndarray) -> np.ndarray:
+    """ei-slash ef-slash - ef-slash ei-slash, a (..., 4, 4) stack."""
+    return _times_slash(slash(e_i), e_f) - _times_slash(slash(e_f), e_i)
+
+
+def _reduced_trace(commutator: np.ndarray, k: np.ndarray, mass: Floats) -> Floats:
+    """``squared_matrix_element`` from the commutator of the two polarizations, for a positive mass,
+    a lightlike k and polarizations that its caller has checked, or built from checked ones: the
+    engine's own inputs are validated once, not on every call. Only the range of 16 m^4 w^2, which
+    depends on the mass and k together, and the realness of the trace are checked here."""
+    m = np.asarray(mass)[..., None]
+    denominator = _normal_denominator(mass, k[..., 0])
     rest = m * _PAIR_AT_REST
-    commutator = _times_slash(slash(e_i), e_f) - _times_slash(slash(e_f), e_i)
     # Multiplied left to right from the commutator; the trace is cyclic, so (-C)(pslash - m) closes it.
     chain = _times_slash(_times_slash(_times_slash(commutator, k), rest, shift=m), k)
     trace = _trace_of_product(chain, _times_slash(-commutator, rest, shift=-m))
@@ -273,8 +287,12 @@ _PAIR_AT_REST = np.array([1.0, 0.0, 0.0, 0.0])  # p_+ = p_- for a unit mass
 # sqrt(fl(w * w)) == w and the basis is exactly (0, 1, 0, 0), (0, 0, 1, 0).
 _PHOTON_Z_BASIS = transverse_polarization_basis(_PHOTON_Z)
 _PHOTON_Z_PAIRS = _PHOTON_Z_BASIS[np.array([[0, 0, 1, 1], [0, 1, 0, 1]])]
-_PHOTON_Z_BASIS.flags.writeable = False
-_PHOTON_Z_PAIRS.flags.writeable = False
+# The pairs are checked once, here, and their commutators built once; every energy scales k alone.
+_require_polarization(_PHOTON_Z_PAIRS[0], _PHOTON_Z, "initial polarization")
+_require_polarization(_PHOTON_Z_PAIRS[1], _PHOTON_Z, "final polarization")
+_PHOTON_Z_COMMUTATORS = _commutator(*_PHOTON_Z_PAIRS)
+for _frozen in (_PHOTON_Z_BASIS, _PHOTON_Z_PAIRS, _PHOTON_Z_COMMUTATORS):
+    _frozen.flags.writeable = False
 
 
 def polarization_sums(k_i: np.ndarray, final_basis: np.ndarray | None = None) -> tuple[float, Floats]:
@@ -321,6 +339,18 @@ def phase_space_integral(
     return values[-1][1]
 
 
+@functools.cache
+def _gauss_rule() -> np.ndarray:
+    """Nodes and weights, a (2, 64) array, of the Gauss-Legendre rule for the regularized phase-space
+    integral over +-10 widths: the bits of numpy's leggauss(64), stored, so that no process imports
+    numpy.polynomial or runs its eigenvalue solver. Read on first use, which only trace-check makes."""
+    text = resources.files("vfvacuum.data").joinpath("gauss_legendre_64.txt").read_text(encoding="utf-8")
+    rows = [[float.fromhex(x) for x in line.split()] for line in text.splitlines() if line and not line.startswith("#")]
+    rule = np.array(rows).T.copy()
+    rule.flags.writeable = False
+    return rule
+
+
 def phase_space_width_study(
     widths: Sequence[float] = DEFAULT_REGULARIZATION_WIDTHS, photon_energy: float = 1.0
 ) -> list[tuple[float, float]]:
@@ -328,6 +358,7 @@ def phase_space_width_study(
     if not widths:
         raise ValueError("at least one regularization width is required")
     w = photon_energy
+    nodes, weights = _gauss_rule()
     results = []
     for relative_width in widths:
         width = relative_width * w
@@ -335,9 +366,9 @@ def phase_space_width_study(
         lower = max(0.0, w - 10.0 * width)
         upper = w + 10.0 * width
         half = 0.5 * (upper - lower)
-        kk = half * _GAUSS_NODES + 0.5 * (upper + lower)
+        kk = half * nodes + 0.5 * (upper + lower)
         integrand = 4.0 * math.pi * kk**2 / (4.0 * w**2) * norm * _exp(-0.5 * ((kk - w) / width) ** 2)
-        results.append((relative_width, half * math.fsum(_GAUSS_WEIGHTS * integrand)))
+        results.append((relative_width, half * math.fsum(weights * integrand)))
     return results
 
 
@@ -361,12 +392,17 @@ def cross_section_coefficient(
         raise ValueError(
             f"spin_average_mode must be 'all_four' or 'singlet_only', got {spin_average_mode!r}"
         )
-    if photon_energy is None:
-        photon_energy = mass
-    k = np.multiply.outer(photon_energy, _PHOTON_Z)
+    _require_positive_mass(mass)  # named before the photon energy, which defaults to it
+    w = np.asarray(mass if photon_energy is None else photon_energy, dtype=float)
+    # _require_lightlike's messages for k = w (1, 0, 0, 1), raised before k is built: inf * 0 is NaN.
+    if not (w > 0.0).all():
+        raise ValueError("photon momentum must have positive energy")
+    if not (w < math.inf).all():
+        raise ValueError("photon momentum must be lightlike")
+    k = np.multiply.outer(w, _PHOTON_Z)
     # All four basis pairs of every mass in one call; the pair axis leads, so sum() adds in pair order.
-    pairs = _PHOTON_Z_PAIRS.reshape(2, 4, *[1] * max(np.ndim(mass), np.ndim(photon_energy)), 4)
-    element_sum = sum(squared_matrix_element(*pairs, k, mass))
+    commutators = _PHOTON_Z_COMMUTATORS.reshape(4, *[1] * max(np.ndim(mass), w.ndim), 4, 4)
+    element_sum = sum(_reduced_trace(commutators, k, mass))
     # 1/2 averages the initial polarization; the leftover photon-coupling and
     # wavenumber-measure factors reduce to 4/pi against the pi alpha^2 / m^2
     # normalization of the quoted cross section.
@@ -440,20 +476,27 @@ def _angular_law_residuals(rng: np.random.Generator, count: int) -> tuple[np.nda
     e1 = _PHOTON_Z_BASIS[0]
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
     ef = np.stack([np.zeros(count), np.cos(theta), np.sin(theta), np.zeros(count)], axis=-1)
-    brute = squared_matrix_element(e1, ef, _PHOTON_Z, 1.0)
+    brute = _reduced_trace(_commutator(e1, ef), _PHOTON_Z, 1.0)  # ef is unit and transverse by construction
     return (np.abs(brute - closed_form_matrix_element(e1, ef, 1.0)) / 2.0,)
 
 
-def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-    # A normal 4-vector's quaternion is a uniform rotation (Shoemake 1992; s = 2/|q|^2 normalizes it),
-    # whose columns are the images of the +z basis and of k = (1, 0, 0, 1): the x, y and z axes.
+def _uniform_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform rotations as (count, 3, 3) matrices whose row j is the image of axis j: a normal 4-vector's
+    quaternion is a uniform rotation (Shoemake 1992; s = 2/|q|^2 normalizes it)."""
     w, x, y, z = rng.normal(size=(count, 4)).T
     s = 2.0 / (w * w + x * x + y * y + z * z)
-    columns = np.stack([1.0 - s * (y * y + z * z), s * (x * y + w * z), s * (x * z - w * y),
-                        s * (x * y - w * z), 1.0 - s * (x * x + z * z), s * (y * z + w * x),
-                        s * (x * z + w * y), s * (y * z - w * x), 1.0 - s * (x * x + y * y)], axis=-1)
-    rotated = np.concatenate([np.broadcast_to([[0.0], [0.0], [1.0]], (count, 3, 1)), columns.reshape(count, 3, 3)], -1)
-    value = squared_matrix_element(*np.moveaxis(rotated, 1, 0), 1.0)
+    return np.stack([1.0 - s * (y * y + z * z), s * (x * y + w * z), s * (x * z - w * y),
+                     s * (x * y - w * z), 1.0 - s * (x * x + z * z), s * (y * z + w * x),
+                     s * (x * z + w * y), s * (y * z - w * x), 1.0 - s * (x * x + y * y)], axis=-1).reshape(count, 3, 3)
+
+
+def _rotation_residuals(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+    # The images of the +z basis and of k = (1, 0, 0, 1) are those of the x, y and z axes. They are not
+    # checked again: a rotation keeps them unit, transverse and lightlike, and a wrong one fails the row.
+    time_parts = np.broadcast_to([[0.0], [0.0], [1.0]], (count, 3, 1))
+    rotated = np.concatenate([time_parts, _uniform_rotations(rng, count)], -1)
+    e_i, e_f, k = np.moveaxis(rotated, 1, 0)
+    value = _reduced_trace(_commutator(e_i, e_f), k, 1.0)
     return (np.abs(value - _seed_independent()[1]) / 2.0,)  # against the unrotated amplitude
 
 

@@ -6,8 +6,8 @@ inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from . import dirac, permittivity, vfmodel
@@ -184,8 +184,38 @@ def build_report(
 
 
 def to_json(document: dict) -> str:
-    """Canonical JSON form: full float precision, stable key order."""
-    return json.dumps(document, indent=2)
+    """Canonical JSON form: full float precision, stable key order. The bytes of
+    ``json.dumps(document, indent=2)``, written in one pass: with an indent, json runs its
+    pure-Python encoder, whose generators cost more than the rest of a fresh report."""
+    return _json_text(document, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as json.dumps(indent=2) writes it where a line starts with ``newline``: the same
+    types in json's order (no type is two of them), and TypeError where json raises one. Keys
+    must be strings (json would coerce numbers); a cycle recurses without end."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):  # encode_basestring_ascii raises TypeError on a key that is no string
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def format_number(value) -> str:

@@ -8,9 +8,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vfvacuum import oscillator
+from vfvacuum import dirac, oscillator
 from vfvacuum.cli import run
 from vfvacuum.constants import load_constants
 
@@ -217,6 +218,35 @@ def test_unequal_species_contributions_fail_a_check(monkeypatch):
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     assert rows["per-species-equality"]["status"] == "fail"
     assert rows["per-species-equality"]["measured"] == pytest.approx(1e-8, rel=1e-3)
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_an_engine_fault_ends_as_a_failed_row(monkeypatch):
+    """A wrong engine is a failed row, not an input error. Rotations stretched to 1.1 R - 0.1 I,
+    the quaternion formula with s = 2.2/|q|^2, are not orthogonal: the rotated photon is not
+    lightlike, which the engine does not check again, and only the rotation row fails."""
+    rotations = dirac._uniform_rotations
+    monkeypatch.setattr(dirac, "_uniform_rotations", lambda rng, count: 1.1 * rotations(rng, count) - 0.1 * np.eye(3))
+    code, out, err = invoke(["trace-check", "--format", "json"])
+    assert (code, err) == (1, "")
+    rows = strict_json(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["matrix-element-rotation-invariance"]
+
+
+def test_commands_never_import_numpy_polynomial():
+    """The quadrature rule is stored, so no command imports numpy.polynomial or runs its eigenvalue solver."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("import sys, vfvacuum.cli as c; c.run(['report']); c.run(['trace-check']); "
+              "sys.exit(' '.join(m for m in sys.modules if m.startswith('numpy.polynomial')) or None)")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 def test_compounding_mu0_and_alpha_offsets_fail_a_check(tmp_path):

@@ -228,11 +228,16 @@ def test_spinor_stack_with_per_row_masses_matches_per_row_calls():
 def test_off_shell_momentum_rejected():
     with pytest.raises(ValueError, match="off shell"):
         spinor(np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="off shell"):
+        spinor(np.array([2e160, 0.0, 0.0, 1e160]), 1.0)
+    # On shell where p.p overflows: the shell test is scaled by E, as a photon's is.
+    assert np.isfinite(spinor(np.array([1e160, 0.0, 0.0, 1e160]), 1.0)).all()
 
 
 @pytest.mark.parametrize(
     "momentum",
-    [[math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [math.inf, math.inf, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]],
+    [[math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [math.inf, math.inf, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0],
+     [1e160, math.nan, 0.0, 1e160], [math.inf, 0.0, 0.0, 1e160]],
 )
 def test_non_finite_momentum_rejected(momentum):
     with pytest.raises(ValueError, match="off shell"):
@@ -526,6 +531,28 @@ def test_cross_section_rejects_non_positive_photon_energy(photon_energy):
         cross_section_coefficient(photon_energy=photon_energy)
 
 
+@pytest.mark.parametrize("mass, photon_energy, message", [
+    (1.0, math.nan, "photon momentum must have positive energy"),
+    (1.0, -math.inf, "photon momentum must have positive energy"),
+    (1.0, math.inf, "photon momentum must be lightlike"),
+    (math.inf, None, "photon momentum must be lightlike"),
+    (math.nan, None, "mass must be positive"),
+    (-1.0, math.nan, "mass must be positive"),
+])
+def test_cross_section_rejects_nan_or_infinite_photon_energy(mass, photon_energy, message):
+    """The messages of a photon momentum w (1, 0, 0, 1) that the matrix element rejects, the
+    mass named first, as the photon energy defaults to it; no warning is raised on the way."""
+    with pytest.raises(ValueError, match=message):
+        cross_section_coefficient(mass=mass, photon_energy=photon_energy)
+    with pytest.raises(ValueError, match=message):
+        cross_section_coefficient(mass=np.array([1.0, mass]), photon_energy=photon_energy)
+
+
+def test_matrix_element_checks_the_mass_before_the_photon():
+    with pytest.raises(ValueError, match="mass must be positive"):
+        squared_matrix_element(*dirac._PHOTON_Z_BASIS, np.array([1.0, 0.0, 0.0, 0.5]), -1.0)
+
+
 def test_polarization_sums_reject_zero_momentum():
     with pytest.raises(ValueError):
         polarization_sums(np.zeros(4))
@@ -546,6 +573,15 @@ def test_phase_space_width_halving_monotone():
     widths = [1e-2 / 2**i for i in range(6)]
     errors = [abs(v - math.pi) for _, v in phase_space_width_study(widths)]
     assert all(late < early for early, late in zip(errors, errors[1:]))
+
+
+def test_stored_quadrature_rule_is_leggauss_64():
+    """The stored rule has the bits of numpy's own, which no process of the package computes."""
+    from numpy.polynomial.legendre import leggauss
+
+    for stored, computed in zip(dirac._gauss_rule(), leggauss(64)):
+        assert stored.dtype == computed.dtype and stored.shape == computed.shape == (64,)
+        assert stored.tobytes() == computed.tobytes()
 
 
 def test_phase_space_rule_matches_adaptive_quadrature():
@@ -928,7 +964,7 @@ def test_seed_independent_work_runs_once_per_process(monkeypatch):
     """The first suite of a process evaluates the rows no draw enters and the rotation
     reference amplitude; a later suite reads them, and calls the engine only for its draws."""
     calls = []
-    for name in ("cross_section_coefficient", "phase_space_integral", "squared_matrix_element"):
+    for name in ("cross_section_coefficient", "phase_space_integral", "squared_matrix_element", "_reduced_trace"):
         original = getattr(dirac, name)
         monkeypatch.setattr(dirac, name, lambda *a, _f=original, _n=name, **k: calls.append((_n, a)) or _f(*a, **k))
     first = verification_suite(trials=3, seed=8)
@@ -936,7 +972,7 @@ def test_seed_independent_work_runs_once_per_process(monkeypatch):
     assert [args[0] for name, args in calls if name == "phase_space_integral"].count("regularized") == 1
     del calls[:]
     assert verification_suite(trials=3, seed=8) == first
-    assert [name for name, _ in calls] == ["squared_matrix_element"] * 2  # the angular-law and rotation draws
+    assert [name for name, _ in calls] == ["_reduced_trace"] * 2  # the angular-law and rotation draws
 
 
 def test_verification_suite_runs_on_the_calling_thread():

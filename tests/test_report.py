@@ -12,8 +12,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfvacuum import cli, dirac, oscillator, permittivity, report, vfmodel
@@ -253,3 +254,35 @@ def test_report_stdout_does_not_depend_on_the_memo(tmp_path_factory, sequence):
     _clear_memos()
     for argv in argvs:
         assert _run(argv) == expected[tuple(argv)], argv
+
+
+JSON_SCALARS = st.one_of(
+    st.text(),  # non-ASCII and control characters included
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # NaN, +-inf, +-0.0 and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, math.nan, math.inf, -math.inf]),
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100)
+@given(JSON_DOCUMENTS)
+@example({"empty": {}, "none": [], "pair": (1, -0.0), "nested": [[{}], {"\u00e9\n": [math.nan]}], "big": 10**40})
+@example(np.float64(-1.5e-310))  # a float subclass, written by float.__repr__
+def test_to_json_writes_the_bytes_of_json_dumps(document):
+    assert report.to_json(document) == json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), np.bool_(True), {1.0}])
+def test_to_json_rejects_what_json_dumps_rejects(value):
+    for document in (value, [value], {"key": value}):
+        with pytest.raises(TypeError):
+            json.dumps(document, indent=2)
+        with pytest.raises(TypeError):
+            report.to_json(document)
